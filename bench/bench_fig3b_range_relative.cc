@@ -37,20 +37,23 @@ void RunDataset(const char* title, const DataVector& data, bool small) {
       std::printf("  -- Random Range (%zu queries) --\n", w->num_queries());
     }
     auto design = optimize::EigenDesign(design_gram).ValueOrDie();
-    Strategy hier = HierarchicalStrategy(data.domain);
-    Strategy wav = WaveletStrategy(data.domain);
+    const auto hier =
+        std::make_shared<Strategy>(HierarchicalStrategy(data.domain));
+    const auto wav = std::make_shared<Strategy>(WaveletStrategy(data.domain));
+    const auto eigen = std::make_shared<Strategy>(std::move(design.strategy));
 
     TablePrinter table({"eps", "Hierarchical", "Wavelet", "EigenDesign",
                         "best-competitor/eigen"});
     for (double eps : eps_values) {
       PrivacyParams privacy{eps, 1e-4};
-      const double e_h = MeanRelativeError(
-          *w, MatrixMechanism::Prepare(hier, privacy).ValueOrDie(), data, ropts);
-      const double e_w = MeanRelativeError(
-          *w, MatrixMechanism::Prepare(wav, privacy).ValueOrDie(), data, ropts);
-      const double e_e = MeanRelativeError(
-          *w, MatrixMechanism::Prepare(design.strategy, privacy).ValueOrDie(),
-          data, ropts);
+      auto rel_error = [&](const std::shared_ptr<Strategy>& strategy) {
+        return MeanRelativeError(
+            *w, Mechanism::Prepare(strategy, privacy).ValueOrDie(), data,
+            ropts);
+      };
+      const double e_h = rel_error(hier);
+      const double e_w = rel_error(wav);
+      const double e_e = rel_error(eigen);
       table.AddRow({TablePrinter::Num(eps, 1), TablePrinter::Num(e_h, 4),
                     TablePrinter::Num(e_w, 4), TablePrinter::Num(e_e, 4),
                     TablePrinter::Num(std::min(e_h, e_w) / e_e, 2) + "x"});

@@ -36,21 +36,24 @@ void RunDataset(const char* title, const DataVector& data, bool small) {
     // normalization only rescales per-set Kronecker terms, so the analytic
     // eigenbasis still applies; we use the numeric path for simplicity.
     auto design = optimize::EigenDesign(w.NormalizedGram()).ValueOrDie();
-    Strategy fourier = FourierStrategy(data.domain, sets);
-    Strategy cube = DataCubeStrategy(data.domain, sets).strategy;
+    const auto fourier =
+        std::make_shared<Strategy>(FourierStrategy(data.domain, sets));
+    const auto cube = std::make_shared<Strategy>(
+        DataCubeStrategy(data.domain, sets).strategy);
+    const auto eigen = std::make_shared<Strategy>(std::move(design.strategy));
 
     TablePrinter table({"eps", "Fourier", "DataCube", "EigenDesign",
                         "best-competitor/eigen"});
     for (double eps : eps_values) {
       PrivacyParams privacy{eps, 1e-4};
-      const double e_f = MeanRelativeError(
-          *static_cast<const Workload*>(&w),
-          MatrixMechanism::Prepare(fourier, privacy).ValueOrDie(), data, ropts);
-      const double e_d = MeanRelativeError(
-          w, MatrixMechanism::Prepare(cube, privacy).ValueOrDie(), data, ropts);
-      const double e_e = MeanRelativeError(
-          w, MatrixMechanism::Prepare(design.strategy, privacy).ValueOrDie(),
-          data, ropts);
+      auto rel_error = [&](const std::shared_ptr<Strategy>& strategy) {
+        return MeanRelativeError(
+            w, Mechanism::Prepare(strategy, privacy).ValueOrDie(), data,
+            ropts);
+      };
+      const double e_f = rel_error(fourier);
+      const double e_d = rel_error(cube);
+      const double e_e = rel_error(eigen);
       table.AddRow({TablePrinter::Num(eps, 1), TablePrinter::Num(e_f, 4),
                     TablePrinter::Num(e_d, 4), TablePrinter::Num(e_e, 4),
                     TablePrinter::Num(std::min(e_f, e_d) / e_e, 2) + "x"});

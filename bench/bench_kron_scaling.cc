@@ -147,13 +147,14 @@ ScaleResult RunScale(std::size_t side, std::size_t dims) {
               r.t_design_s, r.rank, r.gap, r.predicted_error);
 
   // One full private release straight through the implicit mechanism.
-  auto mech = KronMatrixMechanism::Prepare(d.strategy, eopts.privacy);
+  auto mech = Mechanism::Prepare(std::make_shared<KronStrategy>(d.strategy),
+                                 eopts.privacy);
   DPMM_CHECK_MSG(mech.ok(), "mechanism preparation failed at scale");
   linalg::Vector x(r.n);
   Rng rng(1234);
   for (auto& v : x) v = static_cast<double>(rng.UniformInt(100));
   sw.Restart();
-  const linalg::Vector x_hat = mech.ValueOrDie().InferX(x, &rng);
+  const linalg::Vector x_hat = mech.ValueOrDie().Release(x, &rng);
   r.t_release_s = sw.Seconds();
   DPMM_CHECK_EQ(x_hat.size(), r.n);
   std::printf("  private release   : %7.2f s  (least-squares estimate of"

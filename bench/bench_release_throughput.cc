@@ -1,6 +1,6 @@
 // Batched multi-release throughput bench. One workload, one designed
 // strategy, B private releases — the serving-shaped hot loop. Times B
-// sequential KronMatrixMechanism::InferX calls against one InferXBatch over
+// sequential Mechanism::Release calls against one Mechanism::ReleaseBatch over
 // the same strategy, and verifies the batched path's contract: with the
 // same seed, every release is byte-identical to its sequential counterpart
 // (same noise draws, same block-solve iterates) — the speedup comes purely
@@ -54,9 +54,10 @@ ThroughputResult Run(std::size_t side, std::size_t dims, std::size_t batch) {
               res.design_seconds, d.rank, res.completion_rows, d.duality_gap);
 
   const ErrorOptions eopts = bench::PaperErrorOptions();
-  auto mech = KronMatrixMechanism::Prepare(d.strategy, eopts.privacy);
+  auto mech = Mechanism::Prepare(std::make_shared<KronStrategy>(d.strategy),
+                                 eopts.privacy);
   DPMM_CHECK_MSG(mech.ok(), "mechanism preparation failed");
-  const KronMatrixMechanism& m = mech.ValueOrDie();
+  const Mechanism& m = mech.ValueOrDie();
 
   linalg::Vector x(res.n);
   {
@@ -69,7 +70,7 @@ ThroughputResult Run(std::size_t side, std::size_t dims, std::size_t batch) {
   std::vector<linalg::Vector> sequential(batch);
   sw.Restart();
   for (std::size_t b = 0; b < batch; ++b) {
-    sequential[b] = m.InferX(x, &seq_rng);
+    sequential[b] = m.Release(x, &seq_rng);
   }
   res.sequential_seconds = sw.Seconds();
   std::printf("  %.2f s total, %.3f s per release\n", res.sequential_seconds,
@@ -78,8 +79,8 @@ ThroughputResult Run(std::size_t side, std::size_t dims, std::size_t batch) {
   std::printf("\n[3] one batched release of %zu\n", batch);
   Rng batch_rng(kSeed);
   sw.Restart();
-  const std::vector<linalg::Vector> batched = m.InferXBatch(x, batch,
-                                                            &batch_rng);
+  const std::vector<linalg::Vector> batched =
+      m.ReleaseBatch(x, batch, &batch_rng);
   res.batch_seconds = sw.Seconds();
   std::printf("  %.2f s total, %.3f s per release\n", res.batch_seconds,
               res.batch_seconds / static_cast<double>(batch));

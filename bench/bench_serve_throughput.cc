@@ -50,7 +50,7 @@ struct DenseServeResult {
   std::size_t n = 0;
   double design_seconds = 0;
   double cold_load_seconds = 0;
-  double cold_qps = 0;  // distinct predicates, Gram-pinv root solves
+  double cold_qps = 0;  // distinct predicates, factored root solves
   double hit_qps = 0;   // same stream again, cache hits
   bool exact_match = false;
 };

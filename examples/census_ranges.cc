@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"strategy", "mean relative error", "noise scale"});
   auto report = [&](const Strategy& s) {
-    auto mech = MatrixMechanism::Prepare(s, privacy).ValueOrDie();
+    auto mech =
+        Mechanism::Prepare(std::make_shared<Strategy>(s), privacy).ValueOrDie();
     const double rel = MeanRelativeError(workload, mech, census, ropts);
     table.AddRow({s.name(), TablePrinter::Num(rel, 4),
                   TablePrinter::Num(mech.noise_scale(), 1)});

@@ -63,10 +63,11 @@ int main() {
   table.Print();
 
   // One actual private release: print the education x income marginal.
-  auto mech =
-      MatrixMechanism::Prepare(design.strategy, opts.privacy).ValueOrDie();
+  auto mech = Mechanism::Prepare(std::make_shared<Strategy>(design.strategy),
+                                 opts.privacy)
+                  .ValueOrDie();
   Rng rng(7);
-  linalg::Vector x_hat = mech.InferX(adult.counts, &rng);
+  linalg::Vector x_hat = mech.Release(adult.counts, &rng);
   DataVector private_view(adult.domain, x_hat);
   std::printf("\nPrivate education marginal (true vs released):\n");
   linalg::Vector true_marg = adult.Marginal(2);

@@ -41,7 +41,9 @@ int main() {
   // Adaptive design + release.
   PrivacyParams privacy{0.5, 1e-4};
   auto design = optimize::EigenDesignForWorkload(workload).ValueOrDie();
-  auto mech = MatrixMechanism::Prepare(design.strategy, privacy).ValueOrDie();
+  auto mech = Mechanism::Prepare(std::make_shared<Strategy>(design.strategy),
+                                 privacy)
+                  .ValueOrDie();
   Rng rng(7);
   linalg::Vector answers = mech.Run(workload, adult.counts, &rng);
   linalg::Vector truth = workload.Answer(adult.counts);

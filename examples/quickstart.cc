@@ -50,8 +50,9 @@ int main() {
   // --- 3. Release private answers -----------------------------------------
   // A fictitious database of 400 students.
   linalg::Vector x{52, 58, 45, 40, 60, 66, 43, 36};
-  auto mech =
-      MatrixMechanism::Prepare(design.strategy, opts.privacy).ValueOrDie();
+  auto mech = Mechanism::Prepare(std::make_shared<Strategy>(design.strategy),
+                                 opts.privacy)
+                  .ValueOrDie();
   Rng rng(2012);
   linalg::Vector answers = mech.Run(workload, x, &rng);
   linalg::Vector truth = workload.Answer(x);

@@ -7,8 +7,9 @@
 // Quickstart — the unified API. Design() picks the right strategy engine
 // for the workload (the implicit Kronecker pipeline when the workload has
 // Kronecker eigenstructure, the dense pipeline otherwise; overridable via
-// DesignOptions::engine), and Mechanism releases through whichever engine
-// the strategy uses:
+// DesignOptions::engine), and Mechanism runs the one Prop. 3 release
+// (y = A x + noise, x_hat = (A^T A)^+ A^T y) through the LinearStrategy
+// interface, whichever engine the strategy uses:
 //
 //   using namespace dpmm;
 //   auto w = ExplicitWorkload::FromMatrix(builders::Fig1Matrix(), "Fig1");
@@ -20,6 +21,13 @@
 //   linalg::Vector answers = w.Answer(x_hat);        // workload answers
 //   linalg::Vector sd = release::QueryErrorProfile(  // per-query stddev
 //       w, *design.strategy, budget);
+//
+// A hand-built strategy rides the same mechanism — it is held by shared
+// pointer, so copies of the mechanism share the strategy's one cached
+// factorization:
+//
+//   auto identity = Mechanism::Prepare(
+//       std::make_shared<Strategy>(IdentityStrategy(8)), budget);
 //
 // Any designed strategy — either engine — can be persisted and served:
 // serialize::StrategyArtifact + serve::StrategyStore store it,
@@ -41,7 +49,6 @@
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
-#include "linalg/sparse.h"
 #include "linalg/svd.h"
 #include "mechanism/bounds.h"
 #include "mechanism/error.h"

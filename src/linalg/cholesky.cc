@@ -43,7 +43,8 @@ Result<Cholesky> Cholesky::FactorWithJitter(const Matrix& spd, double jitter) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
   }
-  return Cholesky(std::move(l));
+  Matrix lt = l.Transposed();
+  return Cholesky(std::move(l), std::move(lt));
 }
 
 Vector Cholesky::Solve(const Vector& b) const {
@@ -60,9 +61,10 @@ Vector Cholesky::Solve(const Vector& b) const {
   // Back substitution L^T x = y.
   for (std::size_t ii = n; ii > 0; --ii) {
     const std::size_t i = ii - 1;
+    const double* lti = lt_.RowPtr(i);
     double s = y[i];
-    for (std::size_t j = i + 1; j < n; ++j) s -= l_(j, i) * y[j];
-    y[i] = s / l_(i, i);
+    for (std::size_t j = i + 1; j < n; ++j) s -= lti[j] * y[j];
+    y[i] = s / lti[i];
   }
   return y;
 }

@@ -37,8 +37,9 @@ class Cholesky {
   const Matrix& lower() const { return l_; }
 
  private:
-  explicit Cholesky(Matrix l) : l_(std::move(l)) {}
+  Cholesky(Matrix l, Matrix lt) : l_(std::move(l)), lt_(std::move(lt)) {}
   Matrix l_;
+  Matrix lt_;  // L^T, so back substitution reads rows contiguously
 };
 
 }  // namespace linalg

@@ -1,8 +1,8 @@
 #include "mechanism/matrix_mechanism.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "linalg/blas.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -10,151 +10,33 @@ namespace dpmm {
 
 using linalg::Vector;
 
-namespace {
-
-// The one place the noise scale is derived from a budget — Prepare (dense
-// and implicit) and WithPrivacy must stay formula-identical or the
-// re-budgeting contract breaks.
-template <typename StrategyT>
-double NoiseScaleFor(MatrixMechanism::NoiseKind noise,
-                     const PrivacyParams& privacy, const StrategyT& strategy) {
-  return noise == MatrixMechanism::NoiseKind::kGaussian
-             ? GaussianNoiseScale(privacy, strategy.L2Sensitivity())
-             : LaplaceNoiseScale(privacy.epsilon, strategy.L1Sensitivity());
-}
-
-}  // namespace
-
-Result<MatrixMechanism> MatrixMechanism::Prepare(Strategy strategy,
-                                                 PrivacyParams privacy,
-                                                 NoiseKind noise) {
-  const double sigma = NoiseScaleFor(noise, privacy, strategy);
-  linalg::Matrix ata = strategy.Gram();
-  auto chol = linalg::Cholesky::Factor(ata);
-  if (chol.ok()) {
-    return MatrixMechanism(std::move(strategy), privacy, noise,
-                           std::move(chol).ValueOrDie(), linalg::Matrix(),
-                           sigma);
-  }
-  // Rank-deficient strategy: minimum-norm least squares through A^+. Valid
-  // for workloads inside the strategy's row space.
-  linalg::Matrix pinv = linalg::PseudoInverse(strategy.matrix());
-  return MatrixMechanism(std::move(strategy), privacy, noise, std::nullopt,
-                         std::move(pinv), sigma);
-}
-
-MatrixMechanism MatrixMechanism::WithPrivacy(PrivacyParams privacy) const {
-  MatrixMechanism out = *this;
-  out.privacy_ = privacy;
-  out.sigma_ = NoiseScaleFor(noise_, privacy, strategy_);
-  return out;
-}
-
-Vector MatrixMechanism::InferX(const Vector& x, Rng* rng) const {
-  // Noisy strategy answers y = A x + noise^p, then the least squares
-  // estimate x_hat = A^+ y. Sparse strategies use the CSR fast path.
-  Vector y = sparse_.has_value() ? sparse_->MatVec(x)
-                                 : linalg::MatVec(strategy_.matrix(), x);
-  if (noise_ == NoiseKind::kGaussian) {
-    for (auto& v : y) v += rng->Gaussian(sigma_);
-  } else {
-    for (auto& v : y) v += rng->Laplace(sigma_);
-  }
-  if (chol_.has_value()) {
-    Vector aty = sparse_.has_value() ? sparse_->MatTVec(y)
-                                     : linalg::MatTVec(strategy_.matrix(), y);
-    return chol_->Solve(aty);
-  }
-  return linalg::MatVec(pinv_, y);
-}
-
-Vector MatrixMechanism::Run(const Workload& workload, const Vector& x,
-                            Rng* rng) const {
-  return workload.Answer(InferX(x, rng));
-}
-
-Result<KronMatrixMechanism> KronMatrixMechanism::Prepare(KronStrategy strategy,
-                                                         PrivacyParams privacy,
-                                                         NoiseKind noise) {
-  const double sigma = NoiseScaleFor(noise, privacy, strategy);
-  return KronMatrixMechanism(std::move(strategy), privacy, noise, sigma);
-}
-
-Vector KronMatrixMechanism::InferX(const Vector& x, Rng* rng) const {
-  Vector y = strategy_.Apply(x);
-  if (noise_ == NoiseKind::kGaussian) {
-    for (auto& v : y) v += rng->Gaussian(sigma_);
-  } else {
-    for (auto& v : y) v += rng->Laplace(sigma_);
-  }
-  return strategy_.SolveNormal(strategy_.ApplyT(y));
-}
-
-std::vector<Vector> KronInferXBatch(const KronStrategy& strategy,
-                                    const Vector& x,
-                                    MatrixMechanism::NoiseKind noise,
-                                    const std::vector<double>& noise_scales,
-                                    Rng* rng) {
+std::vector<Vector> ReleaseEstimates(const LinearStrategy& strategy,
+                                     const Vector& x,
+                                     Mechanism::NoiseKind noise,
+                                     const std::vector<double>& noise_scales,
+                                     Rng* rng) {
   const std::size_t batch = noise_scales.size();
   DPMM_CHECK_GT(batch, 0u);
+  DPMM_CHECK_EQ(x.size(), strategy.num_cells());
+  // Every private estimate counts exactly once, whichever layer asked.
+  static Counter* releases = MetricsRegistry::Global().GetCounter(
+      "dpmm.mechanism.matrix_mechanism.releases");
+  releases->Add(batch);
   // A x is release-independent: compute it once. Noise is drawn in the
-  // exact order the sequential path draws it (release-major), so a shared
+  // exact order sequential releases draw it (release-major), so a shared
   // rng reaches the same state either way.
   const Vector y0 = strategy.Apply(x);
   std::vector<Vector> ys(batch);
   for (std::size_t b = 0; b < batch; ++b) {
     Vector y = y0;
-    if (noise == MatrixMechanism::NoiseKind::kGaussian) {
+    if (noise == Mechanism::NoiseKind::kGaussian) {
       for (auto& v : y) v += rng->Gaussian(noise_scales[b]);
     } else {
       for (auto& v : y) v += rng->Laplace(noise_scales[b]);
     }
     ys[b] = std::move(y);
   }
-  // The interleaved block flows straight from A^T into the solver — no
-  // unpack/repack between the stages.
-  return strategy.SolveNormalBatchPacked(strategy.ApplyTBatchPacked(ys),
-                                         batch);
-}
-
-std::vector<Vector> KronMatrixMechanism::InferXBatch(const Vector& x,
-                                                     std::size_t batch,
-                                                     Rng* rng) const {
-  DPMM_CHECK_GT(batch, 0u);
-  return KronInferXBatch(strategy_, x, noise_,
-                         std::vector<double>(batch, sigma_), rng);
-}
-
-Vector KronMatrixMechanism::Run(const Workload& workload, const Vector& x,
-                                Rng* rng) const {
-  return workload.Answer(InferX(x, rng));
-}
-
-std::vector<Vector> KronMatrixMechanism::ReleaseBatch(const Workload& workload,
-                                                      const Vector& x,
-                                                      std::size_t batch,
-                                                      Rng* rng) const {
-  std::vector<Vector> answers = InferXBatch(x, batch, rng);
-  for (auto& x_hat : answers) x_hat = workload.Answer(x_hat);
-  return answers;
-}
-
-Result<Mechanism> Mechanism::Prepare(Strategy strategy, PrivacyParams privacy,
-                                     NoiseKind noise) {
-  auto mech = MatrixMechanism::Prepare(std::move(strategy), privacy, noise);
-  if (!mech.ok()) return mech.status();
-  Mechanism out;
-  out.dense_ = std::move(mech).ValueOrDie();
-  return out;
-}
-
-Result<Mechanism> Mechanism::Prepare(KronStrategy strategy,
-                                     PrivacyParams privacy, NoiseKind noise) {
-  auto mech = KronMatrixMechanism::Prepare(std::move(strategy), privacy, noise);
-  if (!mech.ok()) return mech.status();
-  Mechanism out;
-  out.kron_ = std::move(mech).ValueOrDie();
-  return out;
+  return strategy.LeastSquaresBatch(ys);
 }
 
 Result<Mechanism> Mechanism::Prepare(
@@ -163,33 +45,16 @@ Result<Mechanism> Mechanism::Prepare(
   if (strategy == nullptr) {
     return Status::InvalidArgument("Mechanism::Prepare: null strategy");
   }
-  if (const auto* kron = dynamic_cast<const KronStrategy*>(strategy.get())) {
-    return Prepare(*kron, privacy, noise);
-  }
-  if (const auto* dense = dynamic_cast<const Strategy*>(strategy.get())) {
-    return Prepare(*dense, privacy, noise);
-  }
-  return Status::InvalidArgument(
-      "Mechanism::Prepare: unknown strategy engine '" +
-      std::string(StrategyEngineName(strategy->engine())) + "'");
-}
-
-const LinearStrategy& Mechanism::strategy() const {
-  return kron_.has_value()
-             ? static_cast<const LinearStrategy&>(kron_->strategy())
-             : static_cast<const LinearStrategy&>(dense_->strategy());
-}
-
-double Mechanism::noise_scale() const {
-  return kron_.has_value() ? kron_->noise_scale() : dense_->noise_scale();
+  const double sigma =
+      noise == NoiseKind::kGaussian
+          ? GaussianNoiseScale(privacy, strategy->L2Sensitivity())
+          : LaplaceNoiseScale(privacy.epsilon, strategy->L1Sensitivity());
+  return Mechanism(std::move(strategy), noise, sigma);
 }
 
 Vector Mechanism::Release(const Vector& x, Rng* rng) const {
-  static Counter* releases = MetricsRegistry::Global().GetCounter(
-      "dpmm.mechanism.matrix_mechanism.releases");
-  releases->Add(1);
   TraceSpan span("Mechanism::Release", "mechanism");
-  return kron_.has_value() ? kron_->InferX(x, rng) : dense_->InferX(x, rng);
+  return std::move(ReleaseEstimates(*strategy_, x, noise_, {sigma_}, rng)[0]);
 }
 
 Vector Mechanism::Run(const Workload& workload, const Vector& x,
@@ -199,20 +64,9 @@ Vector Mechanism::Run(const Workload& workload, const Vector& x,
 
 std::vector<Vector> Mechanism::ReleaseBatch(const Vector& x, std::size_t batch,
                                             Rng* rng) const {
-  static Counter* releases = MetricsRegistry::Global().GetCounter(
-      "dpmm.mechanism.matrix_mechanism.releases");
-  releases->Add(batch);
   TraceSpan span("Mechanism::ReleaseBatch", "mechanism");
-  DPMM_CHECK_GT(batch, 0u);
-  if (kron_.has_value()) return kron_->InferXBatch(x, batch, rng);
-  // The dense engine draws release by release off the shared factorization
-  // — the same noise order as sequential Release calls by construction.
-  std::vector<Vector> out;
-  out.reserve(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    out.push_back(dense_->InferX(x, rng));
-  }
-  return out;
+  return ReleaseEstimates(*strategy_, x, noise_,
+                          std::vector<double>(batch, sigma_), rng);
 }
 
 Result<Mechanism> DesignMechanism(const Workload& workload,
@@ -228,7 +82,7 @@ Result<Mechanism> DesignMechanism(const Workload& workload,
   return out;
 }
 
-double MeanRelativeError(const Workload& workload, const MatrixMechanism& mech,
+double MeanRelativeError(const Workload& workload, const Mechanism& mech,
                          const DataVector& data,
                          const RelativeErrorOptions& opts) {
   DPMM_CHECK_EQ(workload.num_cells(), data.size());

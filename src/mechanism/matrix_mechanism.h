@@ -2,185 +2,50 @@
 // with the Gaussian mechanism, infer the least-squares estimate x_hat of the
 // data vector, and answer the workload as W x_hat. Answers are mutually
 // consistent because they derive from the single estimate x_hat.
+//
+// The mechanism is one formula for every engine — y = A x + noise, then
+// x_hat = (A^T A)^+ A^T y — so it runs entirely through the LinearStrategy
+// interface: Apply for A x, the sensitivities for the noise scale, and
+// LeastSquaresBatch for the inference. Rank-deficient strategies (legal when
+// the workload lies in the strategy's row space — e.g. the paper's Fig. 2
+// adaptive output for the rank-4 Fig. 1 workload) get the minimum-norm
+// estimate through the interface's normal-solve semantics.
 #ifndef DPMM_MECHANISM_MATRIX_MECHANISM_H_
 #define DPMM_MECHANISM_MATRIX_MECHANISM_H_
 
 #include <memory>
-#include <optional>
+#include <vector>
 
 #include "data/data_vector.h"
-#include "linalg/sparse.h"
-#include "linalg/svd.h"
-#include "linalg/cholesky.h"
-#include "mechanism/error.h"
-#include "mechanism/noise.h"
+#include "mechanism/privacy.h"
 #include "optimize/eigen_design.h"
-#include "strategy/kron_strategy.h"
-#include "strategy/strategy.h"
+#include "strategy/linear_strategy.h"
+#include "util/rng.h"
 #include "util/status.h"
 #include "workload/workload.h"
 
 namespace dpmm {
 
-/// A prepared matrix mechanism: the strategy's normal equations are factored
-/// once; each Run() draws fresh noise. Full-rank strategies use a Cholesky
-/// solve; rank-deficient strategies (legal when the workload lies in the
-/// strategy's row space — e.g. the paper's Fig. 2 adaptive output for the
-/// rank-4 Fig. 1 workload) fall back to minimum-norm least squares via the
-/// pseudo-inverse.
-class MatrixMechanism {
+/// A prepared matrix mechanism: a strategy plus the noise scale of one
+/// budget. Copies share the strategy (and with it any lazily cached
+/// factorization).
+class Mechanism {
  public:
   enum class NoiseKind {
     kGaussian,  // (eps, delta)-DP, scale from L2 sensitivity (Prop. 2/3)
     kLaplace,   // eps-DP, scale from L1 sensitivity (Sec. 3.5)
   };
 
-  static Result<MatrixMechanism> Prepare(
-      Strategy strategy, PrivacyParams privacy,
-      NoiseKind noise = NoiseKind::kGaussian);
-
-  /// The same prepared mechanism under a different budget: only the noise
-  /// scale depends on (eps, delta), so the factorization (and CSR form)
-  /// carry over — the cheap way to run one strategy across a split budget
-  /// instead of re-preparing per release.
-  MatrixMechanism WithPrivacy(PrivacyParams privacy) const;
-
-  /// True when the strategy had full column rank (unique least squares).
-  bool full_rank() const { return chol_.has_value(); }
-
-  /// One private release: the least-squares estimate x_hat of the data
-  /// vector. Workload answers are workload.Answer(x_hat).
-  linalg::Vector InferX(const linalg::Vector& x, Rng* rng) const;
-
-  /// One private release of the workload answers W x_hat.
-  linalg::Vector Run(const Workload& workload, const linalg::Vector& x,
-                     Rng* rng) const;
-
-  const Strategy& strategy() const { return strategy_; }
-  double noise_scale() const { return sigma_; }
-
- private:
-  MatrixMechanism(Strategy strategy, PrivacyParams privacy, NoiseKind noise,
-                  std::optional<linalg::Cholesky> chol, linalg::Matrix pinv,
-                  double sigma)
-      : strategy_(std::move(strategy)),
-        privacy_(privacy),
-        noise_(noise),
-        chol_(std::move(chol)),
-        pinv_(std::move(pinv)),
-        sigma_(sigma) {
-    linalg::SparseMatrix csr =
-        linalg::SparseMatrix::FromDense(strategy_.matrix());
-    if (csr.Density() < 0.25) sparse_ = std::move(csr);
-  }
-
-  Strategy strategy_;
-  PrivacyParams privacy_;
-  NoiseKind noise_;
-  std::optional<linalg::Cholesky> chol_;  // factorization of A^T A if SPD
-  linalg::Matrix pinv_;                   // A^+ for the rank-deficient path
-  // CSR fast path for sparse strategies (wavelet/hierarchical/marginals);
-  // empty optional means the strategy is dense enough to stay dense.
-  std::optional<linalg::SparseMatrix> sparse_;
-  double sigma_;  // noise scale for the strategy queries
-};
-
-/// The matrix mechanism over an implicit Kronecker strategy: noisy answers
-/// to the kept eigen-queries plus completion rows, least-squares inference
-/// through the implicit normal equations. One release costs O(n sum d_i)
-/// (plus CG iterations when the strategy carries completion rows) and never
-/// materializes the strategy — the form that reaches domain sizes the dense
-/// MatrixMechanism cannot (n >= 2^18).
-class KronMatrixMechanism {
- public:
-  using NoiseKind = MatrixMechanism::NoiseKind;
-
-  static Result<KronMatrixMechanism> Prepare(
-      KronStrategy strategy, PrivacyParams privacy,
-      NoiseKind noise = NoiseKind::kGaussian);
-
-  /// One private release: the least-squares estimate x_hat of the data
-  /// vector. Workload answers are workload.Answer(x_hat).
-  linalg::Vector InferX(const linalg::Vector& x, Rng* rng) const;
-
-  /// `batch` private releases of the same data vector in one pass. The
-  /// noiseless strategy answers A x are computed once and shared (they are
-  /// identical across releases), noise is drawn release by release in the
-  /// same order InferX would draw it, and the least-squares inferences run
-  /// through the block normal solve. With the same starting rng state the
-  /// b-th returned estimate is bit-identical to the b-th of `batch`
-  /// sequential InferX calls — and the rng ends in the same state — while
-  /// the factorization work (spectrum, preconditioner, eigenbasis passes)
-  /// is paid once for the whole batch.
-  std::vector<linalg::Vector> InferXBatch(const linalg::Vector& x,
-                                          std::size_t batch, Rng* rng) const;
-
-  /// One private release of the workload answers W x_hat.
-  linalg::Vector Run(const Workload& workload, const linalg::Vector& x,
-                     Rng* rng) const;
-
-  /// `batch` private releases of the workload answers, through InferXBatch.
-  std::vector<linalg::Vector> ReleaseBatch(const Workload& workload,
-                                           const linalg::Vector& x,
-                                           std::size_t batch, Rng* rng) const;
-
-  const KronStrategy& strategy() const { return strategy_; }
-  double noise_scale() const { return sigma_; }
-
- private:
-  KronMatrixMechanism(KronStrategy strategy, PrivacyParams privacy,
-                      NoiseKind noise, double sigma)
-      : strategy_(std::move(strategy)),
-        privacy_(privacy),
-        noise_(noise),
-        sigma_(sigma) {}
-
-  KronStrategy strategy_;
-  PrivacyParams privacy_;
-  NoiseKind noise_;
-  double sigma_;
-};
-
-/// The shared engine behind batched implicit releases: y_b = A x + noise at
-/// noise_scales[b] (drawn release-major, matching b sequential InferX
-/// calls), then one packed block normal solve. A x is computed once for the
-/// whole batch. KronMatrixMechanism::InferXBatch uses it with all scales
-/// equal; release::ReleaseBatch with scales from a budget split — keeping
-/// the noise-order-sensitive assembly in one place so the bitwise
-/// batched == sequential contract cannot drift between the two layers.
-std::vector<linalg::Vector> KronInferXBatch(
-    const KronStrategy& strategy, const linalg::Vector& x,
-    MatrixMechanism::NoiseKind noise,
-    const std::vector<double>& noise_scales, Rng* rng);
-
-/// The unified mechanism: one prepared mechanism over any LinearStrategy,
-/// dispatching to the engine the strategy uses. The per-engine arithmetic
-/// is exactly MatrixMechanism / KronMatrixMechanism — fixed-seed releases
-/// through a Mechanism are byte-identical to the corresponding per-engine
-/// mechanism — so clients write engine-agnostic code without giving up the
-/// bitwise reproducibility contracts of either path.
-class Mechanism {
- public:
-  using NoiseKind = MatrixMechanism::NoiseKind;
-
-  /// Prepares the engine behind the strategy's representation. The strategy
-  /// must be a Strategy (dense) or KronStrategy (implicit); anything else
-  /// is InvalidArgument.
+  /// Derives the noise scale from the budget through the strategy's
+  /// sensitivity (L2 for Gaussian, L1 for Laplace). Null strategies are
+  /// InvalidArgument.
   static Result<Mechanism> Prepare(
       std::shared_ptr<const LinearStrategy> strategy, PrivacyParams privacy,
       NoiseKind noise = NoiseKind::kGaussian);
-  /// Value-type conveniences (copy the strategy into the mechanism).
-  static Result<Mechanism> Prepare(Strategy strategy, PrivacyParams privacy,
-                                   NoiseKind noise = NoiseKind::kGaussian);
-  static Result<Mechanism> Prepare(KronStrategy strategy,
-                                   PrivacyParams privacy,
-                                   NoiseKind noise = NoiseKind::kGaussian);
 
-  StrategyEngine engine() const {
-    return kron_.has_value() ? StrategyEngine::kKron : StrategyEngine::kDense;
-  }
-  const LinearStrategy& strategy() const;
-  double noise_scale() const;
+  StrategyEngine engine() const { return strategy_->engine(); }
+  const LinearStrategy& strategy() const { return *strategy_; }
+  double noise_scale() const { return sigma_; }
 
   /// One private release: the least-squares estimate x_hat of the data
   /// vector (all workload answers derive from it by post-processing).
@@ -190,12 +55,9 @@ class Mechanism {
   linalg::Vector Run(const Workload& workload, const linalg::Vector& x,
                      Rng* rng) const;
 
-  /// `batch` private releases of this mechanism's budget each. The kron
-  /// engine shares the strategy answers and the block normal solve across
-  /// the batch (bit-identical to sequential releases, at a fraction of the
-  /// wall-clock); the dense engine reuses the one factorization. Entry b
-  /// is byte-identical to the b-th of `batch` sequential Release calls on
-  /// either engine.
+  /// `batch` private releases of this mechanism's budget each, sharing A x
+  /// and the engine's batched inference. Entry b is byte-identical to the
+  /// b-th of `batch` sequential Release calls.
   std::vector<linalg::Vector> ReleaseBatch(const linalg::Vector& x,
                                            std::size_t batch, Rng* rng) const;
 
@@ -215,16 +77,30 @@ class Mechanism {
   }
 
  private:
-  Mechanism() = default;
+  Mechanism(std::shared_ptr<const LinearStrategy> strategy, NoiseKind noise,
+            double sigma)
+      : strategy_(std::move(strategy)), noise_(noise), sigma_(sigma) {}
 
-  // Exactly one engine is set; the mechanism owns its strategy copy through
-  // the engine (MatrixMechanism / KronMatrixMechanism hold it by value).
-  std::optional<MatrixMechanism> dense_;
-  std::optional<KronMatrixMechanism> kron_;
+  std::shared_ptr<const LinearStrategy> strategy_;
+  NoiseKind noise_;
+  double sigma_;  // noise scale for the strategy queries
   optimize::SolverReport solver_report_;
   double duality_gap_ = 0;
   std::size_t rank_ = 0;
 };
+
+/// The release assembly behind every private estimate: y_b = A x + noise at
+/// noise_scales[b], then x_hat_b = (A^T A)^+ A^T y_b through the strategy's
+/// LeastSquaresBatch. A x is computed once for the whole batch and noise is
+/// drawn release-major, so with the same starting rng state entry b is
+/// bit-identical to the b-th of noise_scales.size() single-scale calls — and
+/// the rng ends in the same state. Mechanism::Release / ReleaseBatch and
+/// release::ReleaseBatch all run through here, so the bitwise
+/// batched == sequential contract cannot drift between the layers.
+std::vector<linalg::Vector> ReleaseEstimates(
+    const LinearStrategy& strategy, const linalg::Vector& x,
+    Mechanism::NoiseKind noise, const std::vector<double>& noise_scales,
+    Rng* rng);
 
 /// Strategy selection and mechanism preparation in one step: Design() with
 /// the options' engine selection (kAuto = the ROADMAP decision rule), then
@@ -246,7 +122,7 @@ struct RelativeErrorOptions {
 
 /// Mean relative error over all workload queries and trials, running the
 /// prepared mechanism on the given data vector.
-double MeanRelativeError(const Workload& workload, const MatrixMechanism& mech,
+double MeanRelativeError(const Workload& workload, const Mechanism& mech,
                          const DataVector& data,
                          const RelativeErrorOptions& opts);
 

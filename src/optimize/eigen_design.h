@@ -136,9 +136,8 @@ struct DesignOptions : EigenDesignOptions {
 
 /// The engine-agnostic design result: the common subset of
 /// EigenDesignResult / KronEigenDesignResult, with the strategy behind the
-/// interface. `strategy` is shared (immutable) so a StrategyArtifact and
-/// concurrent serving readers can hold it without copies (Mechanism's
-/// per-engine preparation still copies it into the mechanism it builds).
+/// interface. `strategy` is shared (immutable) so a StrategyArtifact, a
+/// Mechanism and concurrent serving readers can hold it without copies.
 struct DesignResult {
   std::shared_ptr<const LinearStrategy> strategy;
   StrategyEngine engine = StrategyEngine::kDense;

@@ -7,7 +7,6 @@
 
 #include "linalg/blas.h"
 #include "mechanism/matrix_mechanism.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace dpmm {
@@ -80,46 +79,6 @@ linalg::Vector QueryErrorProfile(const ExplicitWorkload& workload,
   return out;
 }
 
-namespace {
-
-/// The dense half of ReleaseBatch: sequential draws off one factorization,
-/// re-budgeted per release via WithPrivacy (no refactorization). Noise
-/// order matches b sequential MatrixMechanism releases by construction.
-/// WithPrivacy copies the whole prepared mechanism (matrix + factor), so
-/// re-budgeted variants are cached per distinct budget — an even split
-/// (the common case) never copies, an uneven one copies once per distinct
-/// budget instead of once per release.
-std::vector<linalg::Vector> DenseReleaseBatch(
-    const Strategy& strategy, const linalg::Vector& data,
-    const std::vector<PrivacyParams>& budgets, Rng* rng) {
-  const MatrixMechanism base =
-      MatrixMechanism::Prepare(strategy, budgets[0]).ValueOrDie();
-  std::vector<std::pair<PrivacyParams, MatrixMechanism>> variants;
-  auto mechanism_for = [&](const PrivacyParams& budget)
-      -> const MatrixMechanism& {
-    if (budget.epsilon == budgets[0].epsilon &&
-        budget.delta == budgets[0].delta) {
-      return base;
-    }
-    for (const auto& [cached_budget, mech] : variants) {
-      if (budget.epsilon == cached_budget.epsilon &&
-          budget.delta == cached_budget.delta) {
-        return mech;
-      }
-    }
-    variants.emplace_back(budget, base.WithPrivacy(budget));
-    return variants.back().second;
-  };
-  std::vector<linalg::Vector> x_hats;
-  x_hats.reserve(budgets.size());
-  for (const PrivacyParams& budget : budgets) {
-    x_hats.push_back(mechanism_for(budget).InferX(data, rng));
-  }
-  return x_hats;
-}
-
-}  // namespace
-
 BatchReleaseResult ReleaseBatch(const LinearStrategy& strategy,
                                 const linalg::Vector& data,
                                 const std::vector<PrivacyParams>& budgets,
@@ -128,34 +87,19 @@ BatchReleaseResult ReleaseBatch(const LinearStrategy& strategy,
   const std::size_t batch = budgets.size();
   DPMM_CHECK_GT(batch, 0u);
   DPMM_CHECK_EQ(data.size(), strategy.num_cells());
-  // The release-assembly entry point the CLI drives shares the mechanism
-  // layer's release counter — every private estimate counts exactly once
-  // (Mechanism::Release* never routes through here).
-  static Counter* releases = MetricsRegistry::Global().GetCounter(
-      "dpmm.mechanism.matrix_mechanism.releases");
-  releases->Add(batch);
   TraceSpan span("ReleaseBatch", "release");
   const double sensitivity = strategy.L2Sensitivity();
 
-  // Per-release noise scales from the budget split; the implicit assembly
-  // (shared A x, release-major noise order, packed block solve) lives in
-  // KronInferXBatch so it cannot drift from the mechanism layer's.
+  // Per-release noise scales from the budget split; the assembly itself
+  // (shared A x, release-major noise order, batched inference) is the
+  // mechanism layer's, so it cannot drift from Mechanism::Release.
   std::vector<double> sigmas(batch);
   for (std::size_t b = 0; b < batch; ++b) {
     sigmas[b] = GaussianNoiseScale(budgets[b], sensitivity);
   }
   BatchReleaseResult out;
-  if (const auto* kron = dynamic_cast<const KronStrategy*>(&strategy)) {
-    out.x_hats = KronInferXBatch(*kron, data,
-                                 MatrixMechanism::NoiseKind::kGaussian, sigmas,
-                                 rng);
-  } else {
-    const auto* dense = dynamic_cast<const Strategy*>(&strategy);
-    DPMM_CHECK_MSG(dense != nullptr,
-                   "ReleaseBatch: unknown strategy engine (expected Strategy "
-                   "or KronStrategy)");
-    out.x_hats = DenseReleaseBatch(*dense, data, budgets, rng);
-  }
+  out.x_hats = ReleaseEstimates(strategy, data, Mechanism::NoiseKind::kGaussian,
+                                sigmas, rng);
 
   if (workload != nullptr) {
     const linalg::Matrix& w = *workload->matrix();

@@ -7,9 +7,9 @@
 //    several batch releases;
 //  * per-query error profiles — the analytic standard deviation of each
 //    individual workload query under a strategy (Def. 5 query error);
-//  * batched releases — many private releases over one implicit strategy in
-//    a single pass, sharing the strategy answers, the block normal solve
-//    and the profile roots across the batch.
+//  * batched releases — many private releases over one strategy in a
+//    single pass, sharing the strategy answers, the engine's batched
+//    inference and the profile roots across the batch.
 #ifndef DPMM_RELEASE_RELEASE_H_
 #define DPMM_RELEASE_RELEASE_H_
 
@@ -17,8 +17,7 @@
 
 #include "data/data_vector.h"
 #include "mechanism/privacy.h"
-#include "strategy/kron_strategy.h"
-#include "strategy/strategy.h"
+#include "strategy/linear_strategy.h"
 #include "util/rng.h"
 #include "workload/workload.h"
 
@@ -43,8 +42,8 @@ std::vector<PrivacyParams> SplitBudget(const PrivacyParams& total,
 /// matrix mechanism with the given strategy (any engine):
 /// sd_q = sigma * sqrt(w_q (A^T A)^+ w_q^T) (Def. 5 / Prop. 4 per-query
 /// error), one normal-equation solve per query through the strategy's
-/// engine — the dense path solves against the cached Gram pseudo-inverse,
-/// the implicit path never forms an n x n pseudo-inverse at all.
+/// engine — the dense path solves against its cached factorization, the
+/// implicit path never forms an n x n matrix at all.
 linalg::Vector QueryErrorProfile(const ExplicitWorkload& workload,
                                  const LinearStrategy& strategy,
                                  const PrivacyParams& privacy);
@@ -58,18 +57,18 @@ struct BatchReleaseResult {
   std::vector<linalg::Vector> error_profiles;
 };
 
-/// Runs budgets.size() private releases in one pass, through the strategy's
-/// engine. The work every release shares is paid once: for the implicit
-/// engine the noiseless strategy answers A x, the eigenbasis passes and the
-/// preconditioner of the block normal solve; for the dense engine the one
-/// factorization (releases draw off it sequentially, re-budgeted per
-/// release without refactorizing); for both — when `workload` is non-null —
-/// the budget-independent per-query roots sqrt(w_q (A^T A)^+ w_q^T) behind
+/// Runs budgets.size() private releases in one pass (through
+/// ReleaseEstimates, the mechanism's own assembly). The work every release
+/// shares is paid once: the noiseless strategy answers A x, the engine's
+/// batched inference (for the implicit engine the eigenbasis passes and the
+/// preconditioner of the block normal solve; for the dense engine the
+/// strategy's one cached factorization), and — when `workload` is non-null
+/// — the budget-independent per-query roots sqrt(w_q (A^T A)^+ w_q^T) behind
 /// the error profiles, which each release then only rescales by its own
 /// noise level. Noise is drawn release by release in sequential order, so
 /// with the same starting rng state x_hats[b] is bit-identical to preparing
-/// the engine's mechanism with budgets[b] and releasing once, and
-/// error_profiles[b] to QueryErrorProfile(workload, strategy, budgets[b]).
+/// a Mechanism with budgets[b] and releasing once, and error_profiles[b] to
+/// QueryErrorProfile(workload, strategy, budgets[b]).
 BatchReleaseResult ReleaseBatch(const LinearStrategy& strategy,
                                 const linalg::Vector& data,
                                 const std::vector<PrivacyParams>& budgets,

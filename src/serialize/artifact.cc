@@ -395,11 +395,6 @@ std::uint64_t Fnv1a64(const std::string& s) {
   return Fnv1a64(s.data(), s.size());
 }
 
-bool LooksLikeArtifact(const std::string& bytes) {
-  return bytes.size() >= sizeof(kMagic) &&
-         std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0;
-}
-
 std::string EncodeStrategyArtifact(const StrategyArtifact& artifact) {
   DPMM_CHECK_MSG(artifact.strategy != nullptr,
                  "cannot encode a strategy artifact without a strategy");

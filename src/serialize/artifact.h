@@ -61,12 +61,6 @@ constexpr std::uint32_t kArtifactVersion = 3;
 std::uint64_t Fnv1a64(const void* data, std::size_t size);
 std::uint64_t Fnv1a64(const std::string& s);
 
-/// True when `bytes` begins with the artifact container magic — the
-/// format-detection probe for callers that accept both artifacts and
-/// legacy formats (strategy_io), kept here so the magic lives in one
-/// place. Says nothing about validity beyond the first 8 bytes.
-bool LooksLikeArtifact(const std::string& bytes);
-
 /// A designed strategy with everything a serving process needs to reuse it:
 /// the strategy itself behind the engine-agnostic interface (the implicit
 /// Kronecker form or the explicit dense matrix) plus the Program-1

@@ -7,7 +7,7 @@
 // (Def. 5 / Prop. 4), computed through the strategy's normal equations via
 // the engine-agnostic LinearStrategy interface — dense and Kronecker
 // strategies serve identically (the implicit engine never forms an n x n
-// pseudo-inverse).
+// matrix).
 //
 // The budget-independent roots sqrt(w_q (A^T A)^+ w_q^T) are the expensive
 // part (one normal solve per distinct query); the engine caches

@@ -134,10 +134,10 @@ class StrategyStore {
   std::size_t requested_shards_;
   FileLockOptions lock_options_;
   // Lock-discipline audit (lazy-init site 3/3): unlike the call_once
-  // variants (strategy Gram-pinv, Kron eigenbasis), the load-once caches
-  // here are *mutable* after first load (LRU insert/evict on every miss),
-  // so once-semantics cannot express them — they stay on a real Mutex with
-  // full annotations instead of a suppression.
+  // variants (dense Gram factorization, Kron eigenbasis), the load-once
+  // caches here are *mutable* after first load (LRU insert/evict on every
+  // miss), so once-semantics cannot express them — they stay on a real
+  // Mutex with full annotations instead of a suppression.
   // Guards the lazily resolved layout and the load-once artifact cache;
   // never held across file IO (callers snapshot the layout, drop the lock
   // for the read/write, and re-take it to publish into the cache).

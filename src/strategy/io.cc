@@ -1,54 +1,12 @@
 #include "strategy/io.h"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "serialize/artifact.h"
 #include "strategy/kron_strategy.h"
 
 namespace dpmm {
 namespace strategy_io {
-
-namespace {
-
-/// Legacy text parser ("# dpmm-strategy <name> rows cols" + matrix rows),
-/// kept so files written before the artifact port still load.
-Result<Strategy> LoadLegacyText(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::string line;
-  if (!std::getline(in, line)) return Status::IoError("empty file: " + path);
-  std::istringstream header(line);
-  std::string hash, magic, name;
-  std::size_t rows = 0, cols = 0;
-  header >> hash >> magic >> name >> rows >> cols;
-  if (hash != "#" || magic != "dpmm-strategy" || rows == 0 || cols == 0) {
-    return Status::IoError("not a dpmm strategy file: " + path);
-  }
-  linalg::Matrix a(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::IoError("truncated strategy file: " + path);
-    }
-    std::istringstream row(line);
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (!(row >> a(i, j))) {
-        return Status::IoError("malformed row " + std::to_string(i) + " in " +
-                               path);
-      }
-    }
-  }
-  std::fprintf(stderr,
-               "note: %s is a legacy text strategy file (deprecated); "
-               "re-save it to upgrade to the binary artifact format\n",
-               path.c_str());
-  return Strategy(std::move(a), name == "-" ? "" : name);
-}
-
-}  // namespace
 
 Status SaveStrategy(const Strategy& strategy, const std::string& path) {
   // A standalone strategy file is a store artifact without a (workload,
@@ -65,30 +23,16 @@ Status SaveStrategy(const Strategy& strategy, const std::string& path) {
 
 Result<Strategy> LoadStrategy(const std::string& path) {
   auto artifact = serialize::LoadStrategyArtifact(path);
-  if (artifact.ok()) {
-    const auto& strategy = artifact.ValueOrDie().strategy;
-    if (const auto* dense = dynamic_cast<const Strategy*>(strategy.get())) {
-      return *dense;
-    }
-    if (const auto* kron =
-            dynamic_cast<const KronStrategy*>(strategy.get())) {
-      return kron->Materialize();
-    }
-    return Status::IoError("strategy artifact has no loadable strategy: " +
-                           path);
+  if (!artifact.ok()) return artifact.status();
+  const auto& strategy = artifact.ValueOrDie().strategy;
+  if (const auto* dense = dynamic_cast<const Strategy*>(strategy.get())) {
+    return *dense;
   }
-  // Not a binary artifact (or a corrupt one): a file that does not even
-  // start with the artifact magic may be a legacy text file — try that
-  // path; a file with the magic is a damaged artifact and its decode error
-  // is the right message.
-  std::ifstream probe(path, std::ios::binary);
-  char magic[8] = {0};
-  probe.read(magic, sizeof(magic));
-  if (serialize::LooksLikeArtifact(
-          std::string(magic, static_cast<std::size_t>(probe.gcount())))) {
-    return artifact.status();
+  if (const auto* kron = dynamic_cast<const KronStrategy*>(strategy.get())) {
+    return kron->Materialize();
   }
-  return LoadLegacyText(path);
+  return Status::IoError("strategy artifact has no loadable strategy: " +
+                         path);
 }
 
 }  // namespace strategy_io

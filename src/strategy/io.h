@@ -4,12 +4,9 @@
 // database instance") — so designed strategies are worth saving and
 // shipping alongside the data pipeline.
 //
-// Since format v2, standalone strategy files are the same versioned,
-// checksummed binary dense strategy artifacts the store uses
-// (serialize/artifact.h), so one format covers `design --out` files and
-// `design --save` store entries. The legacy text format ("# dpmm-strategy
-// <name> rows cols" followed by one whitespace-separated row per line) is
-// still read — with a deprecation note — but no longer written.
+// Standalone strategy files are the same versioned, checksummed binary
+// dense strategy artifacts the store uses (serialize/artifact.h), so one
+// format covers `design --out` files and `design --save` store entries.
 #ifndef DPMM_STRATEGY_IO_H_
 #define DPMM_STRATEGY_IO_H_
 
@@ -25,8 +22,7 @@ namespace strategy_io {
 [[nodiscard]] Status SaveStrategy(const Strategy& strategy, const std::string& path);
 
 /// Reads a strategy file: a strategy artifact of either engine (implicit
-/// strategies are materialized), or a legacy text-matrix file (a
-/// deprecation note is printed to stderr; re-save to upgrade).
+/// strategies are materialized). Anything else is an IoError.
 [[nodiscard]] Result<Strategy> LoadStrategy(const std::string& path);
 
 }  // namespace strategy_io

@@ -266,6 +266,12 @@ std::vector<Vector> KronStrategy::SolveNormalBatchImpl(
   return SolveNormalBatchPacked(linalg::PackBatch(bs), bs.size(), rel_tol);
 }
 
+std::vector<Vector> KronStrategy::LeastSquaresBatchImpl(
+    const std::vector<Vector>& ys, double rel_tol) const {
+  DPMM_CHECK_GT(ys.size(), 0u);
+  return SolveNormalBatchPacked(ApplyTBatchPacked(ys), ys.size(), rel_tol);
+}
+
 std::vector<Vector> KronStrategy::SolveNormalBatchPacked(Vector packed,
                                                          std::size_t batch,
                                                          double rel_tol) const {

@@ -61,12 +61,6 @@ class KronStrategy : public LinearStrategy {
   std::vector<linalg::Vector> ApplyTBatch(
       const std::vector<linalg::Vector>& ys) const;
 
-  /// As ApplyTBatch, but returns the column-interleaved block (layout of
-  /// linalg::PackBatch) — feed it straight into SolveNormalBatchPacked to
-  /// skip an unpack/repack round-trip between the two stages.
-  linalg::Vector ApplyTBatchPacked(
-      const std::vector<linalg::Vector>& ys) const;
-
   /// (A^T A) v without forming the Gram matrix.
   linalg::Vector NormalMatVec(const linalg::Vector& v) const;
 
@@ -78,12 +72,6 @@ class KronStrategy : public LinearStrategy {
 
   /// L1 sensitivity = max column absolute sum.
   double L1Sensitivity() const override;
-
-  /// SolveNormalBatch over an already column-interleaved right-hand-side
-  /// block of `batch` vectors (consumed as the initial residual).
-  std::vector<linalg::Vector> SolveNormalBatchPacked(
-      linalg::Vector packed, std::size_t batch,
-      double rel_tol = 1e-12) const;
 
   /// Dense equivalent (tests / small domains only).
   Strategy Materialize() const;
@@ -113,7 +101,25 @@ class KronStrategy : public LinearStrategy {
   std::vector<linalg::Vector> SolveNormalBatchImpl(
       const std::vector<linalg::Vector>& bs, double rel_tol) const override;
 
+  /// LeastSquaresBatch: the interleaved block flows straight from A^T into
+  /// the block solve — no unpack/repack between the stages — so a batch of
+  /// releases shares every eigenbasis pass of its inference.
+  std::vector<linalg::Vector> LeastSquaresBatchImpl(
+      const std::vector<linalg::Vector>& ys, double rel_tol) const override;
+
  private:
+  /// As ApplyTBatch, but returns the column-interleaved block (layout of
+  /// linalg::PackBatch) — feed it straight into SolveNormalBatchPacked to
+  /// skip an unpack/repack round-trip between the two stages.
+  linalg::Vector ApplyTBatchPacked(
+      const std::vector<linalg::Vector>& ys) const;
+
+  /// SolveNormalBatch over an already column-interleaved right-hand-side
+  /// block of `batch` vectors (consumed as the initial residual).
+  std::vector<linalg::Vector> SolveNormalBatchPacked(
+      linalg::Vector packed, std::size_t batch,
+      double rel_tol) const;
+
   linalg::KronEigenBasis basis_;
   std::vector<std::size_t> kept_;
   linalg::Vector weights_;         // lambda_i over kept_

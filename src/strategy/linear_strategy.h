@@ -7,11 +7,10 @@
 // profiles, the artifact store, the serve engine) needs only a handful of
 // operations that both forms provide; LinearStrategy is that contract, so
 // one Mechanism / one artifact format / one answer engine serves both
-// representations. Client code is engine-agnostic; the engine set itself
-// is closed at the dispatch layers — adding a third engine (e.g.
-// sum-of-Kronecker) means implementing this interface AND extending
-// Mechanism::Prepare, release::ReleaseBatch and the artifact codec, which
-// reject or CHECK on unknown engines rather than misbehave.
+// representations, none of them dispatching on the concrete type. Adding a
+// third engine (e.g. sum-of-Kronecker) means implementing this interface
+// and extending the artifact codec (which rejects unknown engine tags),
+// nothing else.
 #ifndef DPMM_STRATEGY_LINEAR_STRATEGY_H_
 #define DPMM_STRATEGY_LINEAR_STRATEGY_H_
 
@@ -81,11 +80,28 @@ class LinearStrategy {
     return SolveNormalBatchImpl(bs, rel_tol);
   }
 
+  /// Least-squares inference for B noisy answer vectors: entry i is
+  /// (A^T A)^+ A^T ys[i], bit-identical to SolveNormal(ApplyT(ys[i]),
+  /// rel_tol) on every engine — the matrix mechanism's inference step.
+  std::vector<linalg::Vector> LeastSquaresBatch(
+      const std::vector<linalg::Vector>& ys, double rel_tol = 1e-12) const {
+    return LeastSquaresBatchImpl(ys, rel_tol);
+  }
+
  protected:
   virtual linalg::Vector SolveNormalImpl(const linalg::Vector& b,
                                          double rel_tol) const = 0;
   virtual std::vector<linalg::Vector> SolveNormalBatchImpl(
       const std::vector<linalg::Vector>& bs, double rel_tol) const = 0;
+  /// Column by column through ApplyT and SolveNormal; engines that can share
+  /// work across the batch override it.
+  virtual std::vector<linalg::Vector> LeastSquaresBatchImpl(
+      const std::vector<linalg::Vector>& ys, double rel_tol) const {
+    std::vector<linalg::Vector> out;
+    out.reserve(ys.size());
+    for (const auto& y : ys) out.push_back(SolveNormal(ApplyT(y), rel_tol));
+    return out;
+  }
 };
 
 }  // namespace dpmm

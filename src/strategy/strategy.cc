@@ -1,9 +1,12 @@
 #include "strategy/strategy.h"
 
 #include <mutex>
+#include <optional>
 
 #include "linalg/blas.h"
+#include "linalg/cholesky.h"
 #include "linalg/svd.h"
+#include "util/threading.h"
 
 namespace dpmm {
 
@@ -13,7 +16,8 @@ const char* StrategyEngineName(StrategyEngine engine) {
 
 struct Strategy::NormalCache {
   std::once_flag once;
-  linalg::Matrix gram_pinv;
+  std::optional<linalg::Cholesky> chol;  // A^T A = L L^T when SPD
+  linalg::Matrix gram_pinv;              // (A^T A)^+ otherwise
 };
 
 std::shared_ptr<Strategy::NormalCache> Strategy::MakeNormalCache() {
@@ -32,26 +36,38 @@ linalg::Vector Strategy::ApplyT(const linalg::Vector& y) const {
   return linalg::MatTVec(a_, y);
 }
 
-const linalg::Matrix& Strategy::GramPinv() const {
-  // Benign without analysis: gram_pinv is written only by the call_once
+const Strategy::NormalCache& Strategy::Factorization() const {
+  // Benign without analysis: the cache is written only by the call_once
   // winner and read only after call_once returns (see strategy.h).
   std::call_once(cache_->once, [this] {
-    cache_->gram_pinv = linalg::PseudoInverse(Gram());
+    auto chol = linalg::Cholesky::Factor(Gram());
+    if (chol.ok()) {
+      cache_->chol = std::move(chol).ValueOrDie();
+    } else {
+      const linalg::Matrix pinv = linalg::PseudoInverse(a_);
+      cache_->gram_pinv = linalg::MatMulNT(pinv, pinv);
+    }
   });
-  return cache_->gram_pinv;
+  return *cache_;
 }
 
 linalg::Vector Strategy::SolveNormalImpl(const linalg::Vector& b,
                                          double /*rel_tol*/) const {
   DPMM_CHECK_EQ(b.size(), num_cells());
-  return linalg::MatVec(GramPinv(), b);
+  const NormalCache& f = Factorization();
+  return f.chol.has_value() ? f.chol->Solve(b)
+                            : linalg::MatVec(f.gram_pinv, b);
 }
 
 std::vector<linalg::Vector> Strategy::SolveNormalBatchImpl(
     const std::vector<linalg::Vector>& bs, double rel_tol) const {
-  std::vector<linalg::Vector> out;
-  out.reserve(bs.size());
-  for (const auto& b : bs) out.push_back(SolveNormalImpl(b, rel_tol));
+  Factorization();
+  std::vector<linalg::Vector> out(bs.size());
+  ParallelFor(0, bs.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      out[k] = SolveNormalImpl(bs[k], rel_tol);
+    }
+  });
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Strategy matrices (Sec. 2.3): the set of queries actually submitted to the
 // Gaussian mechanism, from which workload answers are derived by least
 // squares. A Strategy is an explicit p x n matrix plus a display name — the
-// dense engine behind the LinearStrategy interface; higher-level code
-// precomputes factorizations as needed.
+// dense engine behind the LinearStrategy interface, with the one lazily
+// cached factorization of A^T A that every normal solve uses.
 #ifndef DPMM_STRATEGY_STRATEGY_H_
 #define DPMM_STRATEGY_STRATEGY_H_
 
@@ -42,29 +42,33 @@ class Strategy : public LinearStrategy {
   linalg::Matrix Gram() const;
 
  protected:
-  // Normal-equation solves through (A^T A)^+, the exact arithmetic of the
-  // per-query error profile (Def. 5 / Prop. 4): rank-deficient strategies
-  // get the minimum-norm solution. The pseudo-inverse is computed once on
-  // first use (thread-safe; copies share the cache) and rel_tol is ignored
-  // — the solve is direct. The batch solve is column-by-column, so batched
-  // answers are trivially bit-identical to solo ones.
+  // Normal-equation solves, the one dense factorization behind releases,
+  // per-query error profiles (Def. 5 / Prop. 4) and the serve engine:
+  // Cholesky of A^T A when it factors, otherwise (rank-deficient strategies,
+  // e.g. the paper's Fig. 2 output) the minimum-norm solution through
+  // (A^T A)^+ = A^+ (A^+)^T. Factored once on first use (thread-safe; copies
+  // share the cache); rel_tol is ignored — the solve is direct. The batch
+  // solves its columns in parallel, each exactly as a solo solve, so batched
+  // answers are bit-identical to solo ones.
   linalg::Vector SolveNormalImpl(const linalg::Vector& b,
                                  double rel_tol) const override;
   std::vector<linalg::Vector> SolveNormalBatchImpl(
       const std::vector<linalg::Vector>& bs, double rel_tol) const override;
 
  private:
-  /// Lazily computed (A^T A)^+, shared by copies. The once_flag makes the
-  /// first SolveNormal race-free under concurrent serving readers.
+  /// Lazily computed factorization of A^T A, shared by copies. The
+  /// once_flag makes the first SolveNormal race-free under concurrent
+  /// serving readers.
   struct NormalCache;
   static std::shared_ptr<NormalCache> MakeNormalCache();
 
-  // Lock-discipline audit (call_once site 1/3): the pseudo-inverse is
-  // written exactly once inside std::call_once and only read after the
-  // call_once returns, which synchronizes-with the winning initializer —
-  // a Mutex would serialize nothing the once_flag doesn't already. The
-  // analyzer cannot model once_flag, hence the suppression.
-  const linalg::Matrix& GramPinv() const DPMM_NO_THREAD_SAFETY_ANALYSIS;
+  // Lock-discipline audit (call_once site 1/3): the factorization (Cholesky
+  // factor or Gram pseudo-inverse) is written exactly once inside
+  // std::call_once and only read after the call_once returns, which
+  // synchronizes-with the winning initializer — a Mutex would serialize
+  // nothing the once_flag doesn't already. The analyzer cannot model
+  // once_flag, hence the suppression.
+  const NormalCache& Factorization() const DPMM_NO_THREAD_SAFETY_ANALYSIS;
 
   linalg::Matrix a_;
   std::string name_;

@@ -1,16 +1,17 @@
 // The unified strategy/mechanism API (ctest label `api`): the
-// LinearStrategy interface, the Design() engine decision rule, the
-// polymorphic Mechanism, and the v2 artifact format's dense payload kind.
+// LinearStrategy interface, the Design() engine decision rule, the one
+// Mechanism, and the v2 artifact format's dense payload kind.
 // The load-bearing contracts:
-//   * fixed-seed releases through the unified Design()/Mechanism path are
-//     byte-identical to the legacy per-engine paths (EigenDesignForWorkload
-//     + MatrixMechanism, EigenDesignKronForWorkload + KronMatrixMechanism);
+//   * fixed-seed releases through the Design()/Mechanism path are
+//     byte-identical to Prop. 3 written out by hand in this file (same Rng,
+//     y = A x + noise, then an explicit Cholesky solve for dense strategies
+//     or the engine's SolveNormal(ApplyT(y)) for kron ones);
 //   * dense strategy artifacts are save -> load -> save byte-stable and
 //     reject corruption/truncation at every prefix length (mirroring the
 //     kron suite);
 //   * v1 (kron-only) artifacts still decode;
-//   * strategy_io files ride the dense artifact kind, with the legacy text
-//     format still readable.
+//   * strategy_io files ride the dense artifact kind; anything else is
+//     rejected.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/blas.h"
+#include "linalg/cholesky.h"
 #include "linalg/svd.h"
 #include "mechanism/matrix_mechanism.h"
 #include "optimize/eigen_design.h"
@@ -95,70 +97,99 @@ TEST(Design, ParseEngineSelectionIsStrict) {
   EXPECT_FALSE(optimize::ParseEngineSelection("implicit").has_value());
 }
 
-// ---- Bit-identity of the unified path vs the legacy per-engine paths
+// ---- Bit-identity of the Mechanism vs Prop. 3 written out by hand
 
-TEST(Mechanism, DenseReleaseByteIdenticalToLegacyDensePath) {
-  ExplicitWorkload w = Fig1Workload();
+// y = A x + N(0, sigma^2) drawn row by row, the noise every release adds.
+Vector NoisyAnswers(const LinearStrategy& a, const Vector& x, double sigma,
+                    Rng* rng) {
+  Vector y = a.Apply(x);
+  for (auto& v : y) v += rng->Gaussian(sigma);
+  return y;
+}
+
+// x_hat = (A^T A)^{-1} A^T y through an explicit Cholesky of the Gram
+// matrix — independent of the strategy's own cached factorization.
+Vector ReferenceDenseRelease(const Strategy& a, const Vector& x, double sigma,
+                             Rng* rng) {
+  const Vector y = NoisyAnswers(a, x, sigma, rng);
+  const auto chol = linalg::Cholesky::Factor(a.Gram());
+  EXPECT_TRUE(chol.ok()) << "reference needs a full-rank strategy";
+  return chol.ValueOrDie().Solve(linalg::MatTVec(a.matrix(), y));
+}
+
+Vector ReferenceKronRelease(const KronStrategy& a, const Vector& x,
+                            double sigma, Rng* rng) {
+  const Vector y = NoisyAnswers(a, x, sigma, rng);
+  return a.SolveNormal(a.ApplyT(y));
+}
+
+TEST(Mechanism, DenseReleaseByteIdenticalToProp3Reference) {
+  // A forced-dense all-range design: completed to full rank, so the
+  // reference's Cholesky applies.
+  AllRangeWorkload w(Domain({3, 4}));
   const PrivacyParams budget{0.5, 1e-4};
   const Vector x = RandomData(w.num_cells(), 99);
 
-  auto legacy_design = optimize::EigenDesignForWorkload(w);
-  ASSERT_TRUE(legacy_design.ok());
-  auto legacy_mech =
-      MatrixMechanism::Prepare(legacy_design.ValueOrDie().strategy, budget);
-  ASSERT_TRUE(legacy_mech.ok());
-
-  auto design = Design(w);
+  DesignOptions dense_options;
+  dense_options.engine = EngineSelection::kDense;
+  auto design = Design(w, dense_options);
   ASSERT_TRUE(design.ok());
+  const auto& strategy =
+      dynamic_cast<const Strategy&>(*design.ValueOrDie().strategy);
   auto mech = Mechanism::Prepare(design.ValueOrDie().strategy, budget);
   ASSERT_TRUE(mech.ok());
-  EXPECT_EQ(mech.ValueOrDie().engine(), StrategyEngine::kDense);
+  const Mechanism& m = mech.ValueOrDie();
+  EXPECT_EQ(m.engine(), StrategyEngine::kDense);
+  const double sigma = GaussianNoiseScale(budget, strategy.L2Sensitivity());
+  EXPECT_EQ(m.noise_scale(), sigma);
 
   // Same seed, same bytes — estimate, workload answers, and batches.
-  Rng legacy_rng(42), rng(42);
-  const Vector legacy_x_hat =
-      legacy_mech.ValueOrDie().InferX(x, &legacy_rng);
-  const Vector x_hat = mech.ValueOrDie().Release(x, &rng);
-  EXPECT_EQ(legacy_x_hat, x_hat);
-  EXPECT_EQ(legacy_mech.ValueOrDie().Run(w, x, &legacy_rng),
-            mech.ValueOrDie().Run(w, x, &rng));
+  Rng ref_rng(42), rng(42);
+  EXPECT_EQ(ReferenceDenseRelease(strategy, x, sigma, &ref_rng),
+            m.Release(x, &rng));
+  EXPECT_EQ(w.Answer(ReferenceDenseRelease(strategy, x, sigma, &ref_rng)),
+            m.Run(w, x, &rng));
 
-  Rng legacy_batch_rng(7), batch_rng(7);
-  std::vector<Vector> legacy_batch;
+  Rng ref_batch_rng(7), batch_rng(7);
+  std::vector<Vector> reference;
   for (int b = 0; b < 3; ++b) {
-    legacy_batch.push_back(
-        legacy_mech.ValueOrDie().InferX(x, &legacy_batch_rng));
+    reference.push_back(
+        ReferenceDenseRelease(strategy, x, sigma, &ref_batch_rng));
   }
-  EXPECT_EQ(legacy_batch,
-            mech.ValueOrDie().ReleaseBatch(x, 3, &batch_rng));
+  EXPECT_EQ(reference, m.ReleaseBatch(x, 3, &batch_rng));
+  EXPECT_EQ(ref_batch_rng.NextU64(), batch_rng.NextU64());
 }
 
-TEST(Mechanism, KronReleaseByteIdenticalToLegacyKronPath) {
+TEST(Mechanism, KronReleaseByteIdenticalToProp3Reference) {
   AllRangeWorkload w(Domain({4, 4}));
   const PrivacyParams budget{0.5, 1e-4};
   const Vector x = RandomData(w.num_cells(), 99);
 
-  auto legacy_design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(legacy_design.ok());
-  auto legacy_mech = KronMatrixMechanism::Prepare(
-      legacy_design.ValueOrDie().strategy, budget);
-  ASSERT_TRUE(legacy_mech.ok());
-
   auto design = Design(w);
   ASSERT_TRUE(design.ok());
+  const auto& strategy =
+      dynamic_cast<const KronStrategy&>(*design.ValueOrDie().strategy);
   auto mech = Mechanism::Prepare(design.ValueOrDie().strategy, budget);
   ASSERT_TRUE(mech.ok());
-  EXPECT_EQ(mech.ValueOrDie().engine(), StrategyEngine::kKron);
+  const Mechanism& m = mech.ValueOrDie();
+  EXPECT_EQ(m.engine(), StrategyEngine::kKron);
+  const double sigma = GaussianNoiseScale(budget, strategy.L2Sensitivity());
+  EXPECT_EQ(m.noise_scale(), sigma);
 
-  Rng legacy_rng(42), rng(42);
-  EXPECT_EQ(legacy_mech.ValueOrDie().InferX(x, &legacy_rng),
-            mech.ValueOrDie().Release(x, &rng));
-  EXPECT_EQ(legacy_mech.ValueOrDie().Run(w, x, &legacy_rng),
-            mech.ValueOrDie().Run(w, x, &rng));
+  Rng ref_rng(42), rng(42);
+  EXPECT_EQ(ReferenceKronRelease(strategy, x, sigma, &ref_rng),
+            m.Release(x, &rng));
+  EXPECT_EQ(w.Answer(ReferenceKronRelease(strategy, x, sigma, &ref_rng)),
+            m.Run(w, x, &rng));
 
-  Rng legacy_batch_rng(7), batch_rng(7);
-  EXPECT_EQ(legacy_mech.ValueOrDie().InferXBatch(x, 3, &legacy_batch_rng),
-            mech.ValueOrDie().ReleaseBatch(x, 3, &batch_rng));
+  Rng ref_batch_rng(7), batch_rng(7);
+  std::vector<Vector> reference;
+  for (int b = 0; b < 3; ++b) {
+    reference.push_back(
+        ReferenceKronRelease(strategy, x, sigma, &ref_batch_rng));
+  }
+  EXPECT_EQ(reference, m.ReleaseBatch(x, 3, &batch_rng));
+  EXPECT_EQ(ref_batch_rng.NextU64(), batch_rng.NextU64());
 }
 
 TEST(Mechanism, DesignMechanismAttachesTheCertificate) {
@@ -181,34 +212,71 @@ TEST(Mechanism, PrepareRejectsNullStrategy) {
   EXPECT_EQ(mech.status().code(), StatusCode::kInvalidArgument);
 }
 
-// The unified QueryErrorProfile must reproduce the legacy dense formula
-// sigma * sqrt(w_q (A^T A)^+ w_q^T) computed through an explicit Gram
-// pseudo-inverse, bit for bit.
-TEST(QueryErrorProfile, DenseEngineMatchesExplicitPinvFormula) {
+// The dense QueryErrorProfile must reproduce the formula
+// sigma * sqrt(w_q (A^T A)^{-1} w_q^T) computed through an explicit Cholesky
+// of the Gram matrix, bit for bit — error bars and releases share one
+// factorization.
+TEST(QueryErrorProfile, DenseEngineMatchesExplicitCholeskyFormula) {
   ExplicitWorkload w = Fig1Workload();
   const PrivacyParams budget{0.5, 1e-4};
-  auto design = Design(w);
+  DesignOptions dense_options;
+  dense_options.engine = EngineSelection::kDense;
+  auto design = Design(AllRangeWorkload(w.domain()), dense_options);
   ASSERT_TRUE(design.ok());
   const auto& strategy =
       dynamic_cast<const Strategy&>(*design.ValueOrDie().strategy);
-
   const Vector profile = release::QueryErrorProfile(w, strategy, budget);
-  const double sigma =
-      GaussianNoiseScale(budget, strategy.L2Sensitivity());
-  const linalg::Matrix gram_pinv = linalg::PseudoInverse(strategy.Gram());
+  const double sigma = GaussianNoiseScale(budget, strategy.L2Sensitivity());
+  const auto chol = linalg::Cholesky::Factor(strategy.Gram());
+  ASSERT_TRUE(chol.ok());
   const linalg::Matrix& wm = *w.matrix();
   ASSERT_EQ(profile.size(), wm.rows());
   for (std::size_t q = 0; q < wm.rows(); ++q) {
     const Vector wq = wm.Row(q);
-    const Vector gw = linalg::MatVec(gram_pinv, wq);
+    const Vector gw = chol.ValueOrDie().Solve(wq);
     const double expected =
         sigma * std::sqrt(std::max(0.0, linalg::Dot(wq, gw)));
     EXPECT_EQ(profile[q], expected) << "query " << q;
   }
 }
 
-// Unified ReleaseBatch over a dense strategy: x_hats match sequential
-// per-budget mechanism releases byte for byte, and error profiles match
+// The Fig. 1 design is rank deficient, so its error bars take the
+// minimum-norm path: sigma * sqrt(w_q A^+ A^+T w_q^T) with A^+ computed here
+// from the strategy matrix. The older (A^T A)^+ = PseudoInverse(Gram())
+// formula agrees to rounding on this well-scaled strategy.
+TEST(QueryErrorProfile, RankDeficientDenseEngineMatchesExplicitPinvFormula) {
+  ExplicitWorkload w = Fig1Workload();
+  const PrivacyParams budget{0.5, 1e-4};
+  auto design = Design(w);
+  ASSERT_TRUE(design.ok());
+  const auto& strategy =
+      dynamic_cast<const Strategy&>(*design.ValueOrDie().strategy);
+  ASSERT_LT(design.ValueOrDie().rank, w.num_cells());
+  ASSERT_FALSE(linalg::Cholesky::Factor(strategy.Gram()).ok());
+
+  const Vector profile = release::QueryErrorProfile(w, strategy, budget);
+  const double sigma = GaussianNoiseScale(budget, strategy.L2Sensitivity());
+  const linalg::Matrix pinv = linalg::PseudoInverse(strategy.matrix());
+  const linalg::Matrix gram_pinv = linalg::MatMulNT(pinv, pinv);
+  const linalg::Matrix squared_pinv = linalg::PseudoInverse(strategy.Gram());
+  const linalg::Matrix& wm = *w.matrix();
+  ASSERT_EQ(profile.size(), wm.rows());
+  for (std::size_t q = 0; q < wm.rows(); ++q) {
+    const Vector wq = wm.Row(q);
+    const double expected =
+        sigma * std::sqrt(std::max(
+                    0.0, linalg::Dot(wq, linalg::MatVec(gram_pinv, wq))));
+    EXPECT_EQ(profile[q], expected) << "query " << q;
+    const double squared =
+        sigma * std::sqrt(std::max(
+                    0.0, linalg::Dot(wq, linalg::MatVec(squared_pinv, wq))));
+    EXPECT_NEAR(profile[q], squared, 1e-9 * squared) << "query " << q;
+    EXPECT_GT(profile[q], 0.0) << "query " << q;
+  }
+}
+
+// ReleaseBatch over a dense strategy: x_hats match sequential per-budget
+// Mechanism releases byte for byte, and error profiles match
 // per-budget QueryErrorProfile — including an uneven budget split.
 TEST(ReleaseBatch, DenseEngineMatchesSequentialReleases) {
   ExplicitWorkload w = Fig1Workload();
@@ -226,20 +294,16 @@ TEST(ReleaseBatch, DenseEngineMatchesSequentialReleases) {
   ASSERT_EQ(batch.error_profiles.size(), budgets.size());
 
   Rng seq_rng(11);
-  const auto& dense = dynamic_cast<const Strategy&>(strategy);
-  const MatrixMechanism base =
-      MatrixMechanism::Prepare(dense, budgets[0]).ValueOrDie();
   for (std::size_t b = 0; b < budgets.size(); ++b) {
-    const Vector expected = (budgets[b].epsilon == budgets[0].epsilon &&
-                             budgets[b].delta == budgets[0].delta)
-                                ? base.InferX(x, &seq_rng)
-                                : base.WithPrivacy(budgets[b])
-                                      .InferX(x, &seq_rng);
-    EXPECT_EQ(batch.x_hats[b], expected) << "release " << b;
+    auto mech = Mechanism::Prepare(design.ValueOrDie().strategy, budgets[b]);
+    ASSERT_TRUE(mech.ok());
+    EXPECT_EQ(batch.x_hats[b], mech.ValueOrDie().Release(x, &seq_rng))
+        << "release " << b;
     EXPECT_EQ(batch.error_profiles[b],
               release::QueryErrorProfile(w, strategy, budgets[b]))
         << "profile " << b;
   }
+  EXPECT_EQ(batch_rng.NextU64(), seq_rng.NextU64());
 }
 
 // ---- Dense artifact kind (format v2)
@@ -483,19 +547,19 @@ TEST(StrategyIoPort, BinaryRoundTripIsExact) {
   std::remove(path.c_str());
 }
 
-TEST(StrategyIoPort, LegacyTextFilesStillLoad) {
-  const std::string path = ::testing::TempDir() + "/dpmm_io_legacy.txt";
+TEST(StrategyIoPort, TextFilesRejected) {
+  // The pre-artifact text format is not read: a text matrix file is an
+  // IoError, not a strategy.
+  const std::string path = ::testing::TempDir() + "/dpmm_io_text.txt";
   {
     std::ofstream out(path);
-    out << "# dpmm-strategy legacy 2 3\n";
+    out << "# dpmm-strategy text 2 3\n";
     out << "1 0.5 0\n";
     out << "0 -0.25 1\n";
   }
   auto loaded = strategy_io::LoadStrategy(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.ValueOrDie().name(), "legacy");
-  EXPECT_EQ(loaded.ValueOrDie().matrix()(0, 1), 0.5);
-  EXPECT_EQ(loaded.ValueOrDie().matrix()(1, 1), -0.25);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   std::remove(path.c_str());
 }
 
@@ -503,12 +567,12 @@ TEST(StrategyIoPort, GarbageAndDamagedArtifactsRejected) {
   const std::string path = ::testing::TempDir() + "/dpmm_io_bad.bin";
   {
     std::ofstream out(path);
-    out << "neither a text strategy nor an artifact\n";
+    out << "not an artifact\n";
   }
   EXPECT_FALSE(strategy_io::LoadStrategy(path).ok());
   {
-    // Starts with the artifact magic but is truncated: must report the
-    // artifact decode error, not fall through to the text parser.
+    // Starts with the artifact magic but is truncated: the artifact
+    // decode error.
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "DPMMARTF\x02";
   }

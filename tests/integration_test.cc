@@ -21,6 +21,12 @@
 namespace dpmm {
 namespace {
 
+Mechanism Prepared(Strategy strategy, PrivacyParams privacy) {
+  return Mechanism::Prepare(std::make_shared<Strategy>(std::move(strategy)),
+                            privacy)
+      .ValueOrDie();
+}
+
 TEST(Integration, FullPipelineOnZipfData) {
   Domain dom({64});
   AllRangeWorkload w(dom);
@@ -28,7 +34,7 @@ TEST(Integration, FullPipelineOnZipfData) {
 
   auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
   PrivacyParams privacy{1.0, 1e-4};
-  auto mech = MatrixMechanism::Prepare(design.strategy, privacy).ValueOrDie();
+  auto mech = Prepared(design.strategy, privacy);
 
   Rng rng(1);
   linalg::Vector answers = mech.Run(w, data.counts, &rng);
@@ -56,10 +62,8 @@ TEST(Integration, RelativeErrorDesignBeatsAbsoluteDesignOnRelativeMetric) {
 
   auto abs_design = optimize::EigenDesign(w.Gram()).ValueOrDie();
   auto rel_design = optimize::EigenDesign(w.NormalizedGram()).ValueOrDie();
-  auto abs_mech =
-      MatrixMechanism::Prepare(abs_design.strategy, privacy).ValueOrDie();
-  auto rel_mech =
-      MatrixMechanism::Prepare(rel_design.strategy, privacy).ValueOrDie();
+  auto abs_mech = Prepared(abs_design.strategy, privacy);
+  auto rel_mech = Prepared(rel_design.strategy, privacy);
 
   RelativeErrorOptions ropts;
   ropts.trials = 15;
@@ -91,8 +95,7 @@ TEST(Integration, AdHocStackedWorkloadPipeline) {
                            (1 - 1e-6));
 
   // The mechanism actually runs on the combined workload.
-  auto mech =
-      MatrixMechanism::Prepare(design.strategy, opts.privacy).ValueOrDie();
+  auto mech = Prepared(design.strategy, opts.privacy);
   DataVector data = data::GenZipf(dom, 5e5, 0.8, 11);
   linalg::Vector answers = mech.Run(combined, data.counts, &rng);
   EXPECT_EQ(answers.size(), combined.num_queries());
@@ -103,7 +106,7 @@ TEST(Integration, MarginalPipelineOnAdultLikeData) {
   MarginalsWorkload w = MarginalsWorkload::AllKWay(adult.domain, 2);
   auto design = optimize::EigenDesignFromEigen(w.AnalyticEigen()).ValueOrDie();
   PrivacyParams privacy{1.0, 1e-4};
-  auto mech = MatrixMechanism::Prepare(design.strategy, privacy).ValueOrDie();
+  auto mech = Prepared(design.strategy, privacy);
   RelativeErrorOptions ropts;
   ropts.trials = 3;
   ropts.floor = 10.0;
@@ -121,8 +124,7 @@ TEST(Integration, PersistedHistogramRoundTripsThroughMechanism) {
 
   MarginalsWorkload w = MarginalsWorkload::AllKWay(dom, 1);
   auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
-  auto mech =
-      MatrixMechanism::Prepare(design.strategy, {0.5, 1e-4}).ValueOrDie();
+  auto mech = Prepared(design.strategy, {0.5, 1e-4});
   Rng rng(13);
   linalg::Vector a1 = mech.Run(w, data.counts, &rng);
   Rng rng2(13);
@@ -135,8 +137,7 @@ TEST(Integration, EndToEndDeterminismForSeed) {
   Domain dom({32});
   AllRangeWorkload w(dom);
   auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
-  auto mech =
-      MatrixMechanism::Prepare(design.strategy, {0.5, 1e-4}).ValueOrDie();
+  auto mech = Prepared(design.strategy, {0.5, 1e-4});
   DataVector data = data::GenZipf(dom, 1e4, 1.0, 2);
   Rng r1(99), r2(99);
   linalg::Vector a1 = mech.Run(w, data.counts, &r1);

@@ -138,7 +138,9 @@ TEST_P(Seeds, MechanismVarianceMatchesProfileForRandomStrategy) {
   Strategy strat(a, "rand");
   ErrorOptions opts = Opts();
   const double analytic = StrategyError(w, strat, opts);
-  auto mech = MatrixMechanism::Prepare(strat, opts.privacy).ValueOrDie();
+  auto mech = Mechanism::Prepare(std::make_shared<Strategy>(strat),
+                                 opts.privacy)
+                  .ValueOrDie();
   Vector x(6, 25.0);
   const Vector truth = w.Answer(x);
   Rng noise(GetParam() + 700);

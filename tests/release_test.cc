@@ -45,11 +45,13 @@ TEST(SyntheticData, AnswersWorkloadsConsistently) {
   Domain dom({16});
   AllRangeWorkload w(dom);
   auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
-  auto mech =
-      MatrixMechanism::Prepare(design.strategy, {1.0, 1e-4}).ValueOrDie();
+  auto mech = Mechanism::Prepare(
+                  std::make_shared<Strategy>(std::move(design.strategy)),
+                  {1.0, 1e-4})
+                  .ValueOrDie();
   linalg::Vector x(16, 100.0);
   Rng rng(3);
-  DataVector synth = SyntheticData(dom, mech.InferX(x, &rng));
+  DataVector synth = SyntheticData(dom, mech.Release(x, &rng));
   for (double c : synth.counts) {
     EXPECT_GE(c, 0.0);
     EXPECT_DOUBLE_EQ(c, std::floor(c));
@@ -96,7 +98,8 @@ TEST(ReleaseBatch, BitIdenticalToSequentialMechanismAndProfiles) {
   AllRangeWorkload ranges(Domain({4, 4}));
   auto design = optimize::EigenDesignKronForWorkload(ranges);
   ASSERT_TRUE(design.ok());
-  const KronStrategy& strategy = design.ValueOrDie().strategy;
+  const auto strategy =
+      std::make_shared<KronStrategy>(design.ValueOrDie().strategy);
 
   const std::size_t n = ranges.num_cells();
   linalg::Matrix probe(3, n);
@@ -113,21 +116,42 @@ TEST(ReleaseBatch, BitIdenticalToSequentialMechanismAndProfiles) {
 
   Rng batch_rng(9);
   const BatchReleaseResult batched =
-      ReleaseBatch(strategy, data, budgets, &batch_rng, &probe_workload);
+      ReleaseBatch(*strategy, data, budgets, &batch_rng, &probe_workload);
   ASSERT_EQ(batched.x_hats.size(), budgets.size());
   ASSERT_EQ(batched.error_profiles.size(), budgets.size());
 
   Rng seq_rng(9);
   for (std::size_t b = 0; b < budgets.size(); ++b) {
-    auto mech = KronMatrixMechanism::Prepare(strategy, budgets[b]);
+    auto mech = Mechanism::Prepare(strategy, budgets[b]);
     ASSERT_TRUE(mech.ok());
-    const linalg::Vector x_hat = mech.ValueOrDie().InferX(data, &seq_rng);
+    const linalg::Vector x_hat = mech.ValueOrDie().Release(data, &seq_rng);
     EXPECT_EQ(batched.x_hats[b], x_hat) << "release " << b;
     EXPECT_EQ(batched.error_profiles[b],
-              QueryErrorProfile(probe_workload, strategy, budgets[b]))
+              QueryErrorProfile(probe_workload, *strategy, budgets[b]))
         << "profile " << b;
   }
   EXPECT_EQ(batch_rng.NextU64(), seq_rng.NextU64());
+}
+
+// A full-rank but badly scaled strategy: the error bar of the weakly
+// measured cell must be the true 1e4 * sigma, the noise a release adds to
+// it. A normal solve that truncates small eigenvalues of A^T A relative to
+// the largest would drop this one (1e-8) and report a bar of 0.
+TEST(QueryErrorProfile, BadlyScaledFullRankStrategyKeepsItsErrorBar) {
+  linalg::Matrix a(2, 2);
+  a(0, 0) = 1.0;
+  a(1, 1) = 1e-4;
+  const Strategy strategy(a, "diag(1, 1e-4)");
+  const linalg::Vector z = strategy.SolveNormal({0.0, 1.0});
+  EXPECT_NEAR(z[1], 1e8, 1e-12 * 1e8);
+  EXPECT_EQ(z[0], 0.0);
+
+  auto w = ExplicitWorkload::FromMatrix(linalg::Matrix::Identity(2), "cells");
+  const PrivacyParams privacy{1.0, 1e-4};
+  const double sigma = GaussianNoiseScale(privacy, strategy.L2Sensitivity());
+  const linalg::Vector profile = QueryErrorProfile(w, strategy, privacy);
+  EXPECT_NEAR(profile[0], sigma, 1e-12 * sigma);
+  EXPECT_NEAR(profile[1], 1e4 * sigma, 1e-12 * 1e4 * sigma);
 }
 
 TEST(QueryErrorProfile, IdentityStrategyGivesRowNorms) {

@@ -72,7 +72,7 @@ struct Fixture {
 /// Which (workload, engine) pair the fixture serves. The three variants pin
 /// the three root-solve paths of the answer engine: kron-PCG (all-range
 /// carries completion rows), kron-diagonal (1-way marginals), and the dense
-/// Gram-pseudo-inverse solve.
+/// factored (Cholesky) solve.
 enum class FixtureKind { kAllRange, kMarginals, kDenseAllRange };
 
 Fixture MakeFixture(FixtureKind kind = FixtureKind::kAllRange) {
@@ -411,7 +411,7 @@ TEST(AnswerEngine, ExactlyMatchesReferenceMarginals) {
 }
 
 // Covers the dense engine: same serving loop, same exactness contract,
-// roots solved through the cached Gram pseudo-inverse.
+// roots solved through the cached Gram factorization.
 TEST(AnswerEngine, ExactlyMatchesReferenceDenseEngine) {
   CheckExactness(FixtureKind::kDenseAllRange);
 }
@@ -478,13 +478,13 @@ TEST(AnswerEngine, BatchesLargerThanOneChunkMatchScalarPath) {
 /// Many readers hammer one shared engine — mixed scalar and batch calls,
 /// overlapping keys, cold cache — and must agree bitwise with a serial
 /// reference. Run under DPMM_THREADS=4 and TSan in CI. The dense variant
-/// additionally races the strategy's lazy Gram-pseudo-inverse
-/// initialization (call_once) across readers.
+/// additionally races the strategy's lazy Gram factorization (call_once)
+/// across readers.
 void CheckConcurrentReaders(FixtureKind kind) {
   // The serial reference runs on an independently designed (bit-identical,
   // deterministic) fixture so the shared engine's strategy-level lazy
   // caches are still cold when the reader threads start — otherwise the
-  // reference loop would warm the dense engine's call_once Gram-pinv and
+  // reference loop would warm the dense engine's call_once factorization and
   // the race this test exists to exercise would never happen.
   Fixture ref = MakeFixture(kind);
   AnswerEngine serial = MakeEngine(ref);

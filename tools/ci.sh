@@ -5,10 +5,11 @@
 # standard tier-1 configure/build/ctest cycle, then a ThreadSanitizer pass
 # over the concurrency-sensitive tests (the persistent thread pool behind
 # ParallelFor, the lazily initialized Kronecker eigenbasis variants, and the
-# batched release engine built on both). Run from anywhere; operates on the
-# repository that contains this script.
+# batched release engine built on both). Tier-1 ends with a smoke run of the
+# benchmark (perfbench/). Run from anywhere; operates on the repository that
+# contains this script.
 #
-#   tools/ci.sh                 # full cycle: lint -> tsafety -> asan -> tier-1 -> tsan
+#   tools/ci.sh                 # full cycle: lint -> tsafety -> asan -> tier-1 (+ perfbench smoke) -> tsan
 #   SKIP_LINT=1 tools/ci.sh     # skip static analysis
 #   SKIP_TSAFETY=1 tools/ci.sh  # skip the clang -Wthread-safety lane
 #   SKIP_ASAN=1 tools/ci.sh     # skip the ASan/UBSan lane (e.g. no libasan)
@@ -118,11 +119,23 @@ ctest --test-dir build --output-on-failure -L obs
 
 echo "==== api: unified strategy/mechanism API (ctest -L api) ===="
 # LinearStrategy interface, Design() engine selection, Mechanism bit-identity
-# vs the legacy per-engine paths, the v2 dense artifact kind, and the CLI's
-# dense design --save -> release --store -> serve loop.
+# vs a hand-written Prop. 3 reference, the v2 dense artifact kind, and the
+# CLI's dense design --save -> release --store -> serve loop.
 ctest --test-dir build --output-on-failure -L api
 
 ctest --test-dir build --output-on-failure -j4
+
+echo "==== perfbench: benchmark smoke run (adhoc, 1 s, untraced + traced) ===="
+# The benchmark builds from this checkout and drives the public API
+# with its own correctness checks (store re-read digests, ledger totals,
+# error ratios); run.py exits nonzero when the build, the run or a check
+# fails, so an API change that breaks the benchmark fails CI here.
+PERF_RESULTS="$(mktemp -d)"
+trap 'rm -rf "${PERF_RESULTS}"' EXIT
+for trace in 0 1; do
+  python3 perfbench/run.py --workload adhoc --seed 1 --seconds 1 \
+    --trace "${trace}" --results "${PERF_RESULTS}/trace${trace}"
+done
 
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
   echo "==== tsan: skipped (SKIP_TSAN=1) ===="
@@ -133,7 +146,7 @@ echo "==== tsan: thread pool + kron batching + serve engine under ThreadSanitize
 # serve_test rides along: the answer engine's root cache serves concurrent
 # readers that share one strategy (lazy eigenbasis variants + pool) — since
 # the engine unification, on both the kron store and a dense-engine store
-# (racing the dense strategy's lazy Gram-pinv call_once).
+# (racing the dense strategy's lazy Gram factorization call_once).
 # durability_test rides along too: its fork-based multi-process races and
 # flock arbitration must stay clean under TSan (the binary is
 # single-threaded by design, so TSan's fork restriction never triggers).

@@ -25,15 +25,6 @@ echo "== strict --engine parsing =="
 rc=0; "${CLI}" release --data "${DATA}" --workload fig1 --engine bogus \
   >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "--engine bogus must exit 2, got ${rc}"
-rc=0; "${CLI}" release --data "${DATA}" --workload fig1 --engine dense \
-  --dense 1 >/dev/null 2>&1 || rc=$?
-[ "${rc}" -eq 2 ] || fail "--engine + --dense together must exit 2, got ${rc}"
-
-echo "== deprecated --dense alias still releases =="
-"${CLI}" release --data "${DATA}" --workload fig1 --dense 1 \
-  --epsilon 0.5 --out "${WORK}/alias.csv" 2> "${WORK}/alias.err" \
-  || fail "release --dense 1 failed"
-grep -q "deprecated" "${WORK}/alias.err" || fail "missing deprecation note"
 
 echo "== dense design --save =="
 "${CLI}" design --domain 2,4 --workload fig1 --save "${STORE}" \

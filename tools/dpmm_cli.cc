@@ -59,9 +59,9 @@
 // lifetime (eps, delta)) exits with the distinct code 3.
 // Commands that run a design accept --engine auto|dense|kron (auto = the
 // implicit pipeline whenever the workload has Kronecker eigenstructure,
-// dense otherwise; --dense B is a deprecated alias), --solver
-// ascent|fista|lbfgs and --gap-tol G; release output reports the engine,
-// the achieved duality gap and the iteration count.
+// dense otherwise), --solver ascent|fista|lbfgs and --gap-tol G; release
+// output reports the engine, the achieved duality gap and the iteration
+// count.
 //
 // Workload specs: allrange | cdf | marginals:K | rangemarginals:K | fig1
 // Histogram CSV format: see data::SaveCsv (header "# domain: d1,d2,...").
@@ -146,13 +146,13 @@ const std::map<std::string, std::set<std::string>>& KnownOptions() {
         "shards"}},
       {"release",
        {"data", "workload", "epsilon", "delta", "seed", "strategy", "out",
-        "engine", "dense", "batch", "solver", "gap-tol", "store", "dataset",
+        "engine", "batch", "solver", "gap-tol", "store", "dataset",
         "total-epsilon", "total-delta", "lock-timeout-ms", "charge-id",
         "shards"}},
       {"ledger", {"store", "dataset", "lock-timeout-ms", "hold-ms"}},
       {"synth",
        {"data", "workload", "epsilon", "delta", "seed", "strategy", "out",
-        "engine", "dense", "solver", "gap-tol"}},
+        "engine", "solver", "gap-tol"}},
       {"serve",
        {"store", "domain", "workload", "release", "shards", "stats-every"}},
       {"store", {"store", "shards", "lock-timeout-ms"}},
@@ -364,43 +364,18 @@ bool ParseSolverOptions(const Args& args,
 }
 
 /// Engine selection for every design-running command: --engine
-/// auto|dense|kron (strict: anything else exits 2). --dense B survives as a
-/// deprecated alias (true = --engine dense, false = --engine auto) so old
-/// scripts keep working; passing both is a hard error rather than a silent
-/// precedence rule.
+/// auto|dense|kron (strict: anything else exits 2).
 bool ParseEngineOption(const Args& args, optimize::EngineSelection* engine) {
   const auto engine_it = args.options.find("engine");
-  const auto dense_it = args.options.find("dense");
-  if (engine_it != args.options.end() && dense_it != args.options.end()) {
+  if (engine_it == args.options.end()) return true;
+  const auto parsed = optimize::ParseEngineSelection(engine_it->second);
+  if (!parsed.has_value()) {
     std::fprintf(stderr,
-                 "--dense is a deprecated alias of --engine; pass only one\n");
+                 "option --engine expects auto|dense|kron, got '%s'\n",
+                 engine_it->second.c_str());
     return false;
   }
-  if (engine_it != args.options.end()) {
-    const auto parsed = optimize::ParseEngineSelection(engine_it->second);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "option --engine expects auto|dense|kron, got '%s'\n",
-                   engine_it->second.c_str());
-      return false;
-    }
-    *engine = *parsed;
-    return true;
-  }
-  if (dense_it != args.options.end()) {
-    bool force_dense = false;
-    if (!ParseBool(dense_it->second, &force_dense)) {
-      std::fprintf(stderr,
-                   "option --dense expects a boolean (1/0/true/false), got "
-                   "'%s'\n",
-                   dense_it->second.c_str());
-      return false;
-    }
-    *engine = force_dense ? optimize::EngineSelection::kDense
-                          : optimize::EngineSelection::kAuto;
-    std::fprintf(stderr, "note: --dense is deprecated; use --engine %s\n",
-                 optimize::EngineSelectionName(*engine));
-  }
+  *engine = *parsed;
   return true;
 }
 
@@ -1316,8 +1291,7 @@ void Usage() {
                "                rides the implicit Kronecker pipeline when\n"
                "                the workload has one and the dense pipeline\n"
                "                otherwise; dense/kron force one (kron on an\n"
-               "                unstructured workload is an error). --dense B\n"
-               "                is a deprecated alias (true = --engine dense)\n"
+               "                unstructured workload is an error)\n"
                "                [--solver ascent|fista|lbfgs]  Program-1 dual\n"
                "                solver (lbfgs = FISTA warm start + projected\n"
                "                L-BFGS, reaches ~1e-10 gaps where ascent\n"

@@ -75,16 +75,16 @@ int main(int argc, char** argv) {
     Strategy equal = EqualWeightStrategy(eig, 1e-10);
     Strategy al = optimize::SqrtEigenvalueStrategy(eig, 1e-10,
                                                    /*complete_columns=*/false);
-    optimize::EigenDesignOptions no_completion;
+    optimize::DesignOptions no_completion;
     no_completion.complete_columns = false;
-    auto opt = optimize::EigenDesignFromEigen(eig, no_completion).ValueOrDie();
-    auto full = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy opt = bench::DesignStrategy(eig, no_completion);
+    const Strategy full = bench::DesignStrategy(eig);
     table.AddRow(
         {c.name,
          TablePrinter::Num(StrategyError(c.gram, c.m, equal, opts), 3),
          TablePrinter::Num(StrategyError(c.gram, c.m, al, opts), 3),
-         TablePrinter::Num(StrategyError(c.gram, c.m, opt.strategy, opts), 3),
-         TablePrinter::Num(StrategyError(c.gram, c.m, full.strategy, opts), 3),
+         TablePrinter::Num(StrategyError(c.gram, c.m, opt, opts), 3),
+         TablePrinter::Num(StrategyError(c.gram, c.m, full, opts), 3),
          TablePrinter::Num(SvdErrorLowerBound(eig.values, c.m, opts), 3)});
   }
   table.Print();

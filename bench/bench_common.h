@@ -43,6 +43,13 @@ inline ErrorOptions PaperErrorOptions() {
   return opts;
 }
 
+/// Program 2 from a dense eigendecomposition, as the explicit strategy the
+/// dense error formulas (StrategyError) take.
+inline Strategy DesignStrategy(const linalg::SymmetricEigenResult& eigen,
+                               const optimize::DesignOptions& options = {}) {
+  return optimize::Design(eigen, options).ValueOrDie().strategy->Materialize();
+}
+
 inline void Banner(const char* title, const char* paper_ref) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title);

@@ -13,7 +13,7 @@ int main(int, char**) {
   legacy.privacy = {0.5, 1e-4};
   legacy.convention = ErrorConvention::kLegacyExample4;
 
-  auto design = optimize::EigenDesignForWorkload(workload).ValueOrDie();
+  auto design = optimize::Design(workload).ValueOrDie();
 
   TablePrinter table({"strategy", "RMSE (ours)", "RMSE (paper)"});
   table.AddRow({"workload-as-strategy",
@@ -31,7 +31,9 @@ int main(int, char**) {
        "34.62"});
   table.AddRow({"eigen-design (adaptive)",
                 TablePrinter::Num(
-                    StrategyError(workload, design.strategy, legacy), 2),
+                    StrategyError(workload, design.strategy->Materialize(),
+                                  legacy),
+                    2),
                 "29.79"});
   table.AddRow({"lower bound (Thm. 2)",
                 TablePrinter::Num(SvdErrorLowerBound(workload.Gram(), 8, legacy), 2),

@@ -41,12 +41,12 @@ int main(int argc, char** argv) {
     AllRangeWorkload w(dom);
     Stopwatch sw;
     auto eig = w.FactorizedEigen();
-    auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(eig);
     const linalg::Matrix gram = w.Gram();
     const std::size_t m = w.num_queries();
     const double e_h = StrategyError(gram, m, HierarchicalStrategy(dom), opts);
     const double e_w = StrategyError(gram, m, WaveletStrategy(dom), opts);
-    const double e_e = StrategyError(gram, m, design.strategy, opts);
+    const double e_e = StrategyError(gram, m, design, opts);
     const double bound = SvdErrorLowerBound(eig.values, m, opts);
     all_table.AddRow({dom.ToString(), TablePrinter::Num(e_h, 2),
                       TablePrinter::Num(e_w, 2), TablePrinter::Num(e_e, 2),
@@ -69,11 +69,11 @@ int main(int argc, char** argv) {
     Stopwatch sw;
     const linalg::Matrix gram = w.Gram();
     auto eig = linalg::SymmetricEigen(gram).ValueOrDie();
-    auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(eig);
     const std::size_t m = w.num_queries();
     const double e_h = StrategyError(gram, m, HierarchicalStrategy(dom), opts);
     const double e_w = StrategyError(gram, m, WaveletStrategy(dom), opts);
-    const double e_e = StrategyError(gram, m, design.strategy, opts);
+    const double e_e = StrategyError(gram, m, design, opts);
     const double bound = SvdErrorLowerBound(eig.values, m, opts);
     rnd_table.AddRow({dom.ToString(), TablePrinter::Num(e_h, 2),
                       TablePrinter::Num(e_w, 2), TablePrinter::Num(e_e, 2),

@@ -36,11 +36,11 @@ void RunDataset(const char* title, const DataVector& data, bool small) {
       w = std::move(rr);
       std::printf("  -- Random Range (%zu queries) --\n", w->num_queries());
     }
-    auto design = optimize::EigenDesign(design_gram).ValueOrDie();
     const auto hier =
         std::make_shared<Strategy>(HierarchicalStrategy(data.domain));
     const auto wav = std::make_shared<Strategy>(WaveletStrategy(data.domain));
-    const auto eigen = std::make_shared<Strategy>(std::move(design.strategy));
+    const auto eigen = std::make_shared<Strategy>(bench::DesignStrategy(
+        linalg::SymmetricEigen(design_gram).ValueOrDie()));
 
     TablePrinter table({"eps", "Hierarchical", "Wavelet", "EigenDesign",
                         "best-competitor/eigen"});

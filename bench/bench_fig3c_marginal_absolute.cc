@@ -34,14 +34,14 @@ void RunPanel(const char* title, bool random_sets, bool small) {
     }
     MarginalsWorkload w(dom, sets, MarginalsWorkload::Flavor::kMarginal);
     auto eig = w.AnalyticEigen();  // closed form: Sec. 4.1 fast path
-    auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(eig);
     const linalg::Matrix gram = w.Gram();
     const std::size_t m = w.num_queries();
     const double e_f =
         StrategyError(gram, m, FourierStrategy(dom, sets), opts);
     const double e_d =
         StrategyError(gram, m, DataCubeStrategy(dom, sets).strategy, opts);
-    const double e_e = StrategyError(gram, m, design.strategy, opts);
+    const double e_e = StrategyError(gram, m, design, opts);
     const double bound = SvdErrorLowerBound(eig.values, m, opts);
     table.AddRow({dom.ToString(), TablePrinter::Num(e_f, 2),
                   TablePrinter::Num(e_d, 2), TablePrinter::Num(e_e, 2),

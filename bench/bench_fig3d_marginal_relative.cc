@@ -35,12 +35,12 @@ void RunDataset(const char* title, const DataVector& data, bool small) {
     // Relative-error heuristic: design on the normalized Gram. Marginal
     // normalization only rescales per-set Kronecker terms, so the analytic
     // eigenbasis still applies; we use the numeric path for simplicity.
-    auto design = optimize::EigenDesign(w.NormalizedGram()).ValueOrDie();
     const auto fourier =
         std::make_shared<Strategy>(FourierStrategy(data.domain, sets));
     const auto cube = std::make_shared<Strategy>(
         DataCubeStrategy(data.domain, sets).strategy);
-    const auto eigen = std::make_shared<Strategy>(std::move(design.strategy));
+    const auto eigen = std::make_shared<Strategy>(bench::DesignStrategy(
+        linalg::SymmetricEigen(w.NormalizedGram()).ValueOrDie()));
 
     TablePrinter table({"eps", "Fourier", "DataCube", "EigenDesign",
                         "best-competitor/eigen"});

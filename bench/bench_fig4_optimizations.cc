@@ -31,9 +31,9 @@ void Sweep(const char* title, const linalg::SymmetricEigenResult& eig,
 
   // Full eigen design as the quality baseline.
   Stopwatch sw;
-  auto full = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+  const Strategy full = bench::DesignStrategy(eig);
   const double full_time = sw.Seconds();
-  const double full_err = StrategyError(gram, m, full.strategy, opts);
+  const double full_err = StrategyError(gram, m, full, opts);
   std::printf("full eigen design: error %.3f, selection time %.2fs\n\n",
               full_err, full_time);
 

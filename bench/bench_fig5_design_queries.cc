@@ -69,11 +69,11 @@ int main(int argc, char** argv) {
     const auto perm = rng.Permutation(n);
     const linalg::Matrix pgram = PermuteGram(gram, perm);
 
-    auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(eig);
     table.AddRow({"1D Range [" + std::to_string(n) + "]",
                   TablePrinter::Num(WeightedBasisError(gram, m, haar, opts), 2),
                   TablePrinter::Num(WeightedBasisError(gram, m, fourier, opts), 2),
-                  TablePrinter::Num(StrategyError(gram, m, design.strategy, opts), 2),
+                  TablePrinter::Num(StrategyError(gram, m, design, opts), 2),
                   TablePrinter::Num(SvdErrorLowerBound(eig.values, m, opts), 2)});
 
     // Permuted: eigen-queries permute with the workload (Prop. 5); the
@@ -83,12 +83,12 @@ int main(int argc, char** argv) {
       for (std::size_t j = 0; j < n; ++j) pvecs(i, j) = eig.vectors(perm[i], j);
     }
     linalg::SymmetricEigenResult peig{eig.values, std::move(pvecs)};
-    auto pdesign = optimize::EigenDesignFromEigen(peig).ValueOrDie();
+    const Strategy pdesign = bench::DesignStrategy(peig);
     table.AddRow(
         {"1D Range (permuted)",
          TablePrinter::Num(WeightedBasisError(pgram, m, haar, opts), 2),
          TablePrinter::Num(WeightedBasisError(pgram, m, fourier, opts), 2),
-         TablePrinter::Num(StrategyError(pgram, m, pdesign.strategy, opts), 2),
+         TablePrinter::Num(StrategyError(pgram, m, pdesign, opts), 2),
          TablePrinter::Num(SvdErrorLowerBound(eig.values, m, opts), 2)});
   }
 
@@ -105,14 +105,14 @@ int main(int argc, char** argv) {
         linalg::Kron(HaarMatrix1D(dom.size(0)), HaarMatrix1D(dom.size(1)));
     const linalg::Matrix fourier = FullFourierBasis(dom);
     auto eig = w.AnalyticEigen();
-    auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(eig);
     const auto perm = rng.Permutation(n);
     const linalg::Matrix pgram = PermuteGram(gram, perm);
 
     table.AddRow({"2D Marginal " + dom.ToString(),
                   TablePrinter::Num(WeightedBasisError(gram, m, haar, opts), 2),
                   TablePrinter::Num(WeightedBasisError(gram, m, fourier, opts), 2),
-                  TablePrinter::Num(StrategyError(gram, m, design.strategy, opts), 2),
+                  TablePrinter::Num(StrategyError(gram, m, design, opts), 2),
                   TablePrinter::Num(SvdErrorLowerBound(eig.values, m, opts), 2)});
 
     linalg::Matrix pvecs(n, n);
@@ -120,12 +120,12 @@ int main(int argc, char** argv) {
       for (std::size_t j = 0; j < n; ++j) pvecs(i, j) = eig.vectors(perm[i], j);
     }
     linalg::SymmetricEigenResult peig{eig.values, std::move(pvecs)};
-    auto pdesign = optimize::EigenDesignFromEigen(peig).ValueOrDie();
+    const Strategy pdesign = bench::DesignStrategy(peig);
     table.AddRow(
         {"2D Marginal (permuted)",
          TablePrinter::Num(WeightedBasisError(pgram, m, haar, opts), 2),
          TablePrinter::Num(WeightedBasisError(pgram, m, fourier, opts), 2),
-         TablePrinter::Num(StrategyError(pgram, m, pdesign.strategy, opts), 2),
+         TablePrinter::Num(StrategyError(pgram, m, pdesign, opts), 2),
          TablePrinter::Num(SvdErrorLowerBound(eig.values, m, opts), 2)});
   }
 

@@ -50,14 +50,15 @@ ComparisonResult RunComparison(std::size_t side) {
   std::printf("\n[1] 2D all-range %zu x %zu (n = %zu)\n", side, side, r.n);
 
   // --- Timing: each pipeline end to end, its own eigendecomposition.
-  optimize::EigenDesignOptions options;
+  optimize::DesignOptions options;
+  options.engine = optimize::EngineSelection::kDense;
   Stopwatch sw;
-  auto dense = optimize::EigenDesign(w.Gram(), options);
+  auto dense = optimize::Design(w, options);
   r.t_dense_s = sw.Seconds();
   DPMM_CHECK_MSG(dense.ok(), "dense eigen-design failed");
 
   sw.Restart();
-  auto kron = optimize::EigenDesignKronForWorkload(w, options);
+  auto kron = optimize::Design(w);
   r.t_kron_s = sw.Seconds();
   DPMM_CHECK_MSG(kron.ok(), "kron eigen-design failed");
 
@@ -75,29 +76,34 @@ ComparisonResult RunComparison(std::size_t side) {
   // regularized dense solve in the reference), and the comparison isolates
   // the pipelines rather than eigensolver basis choices inside degenerate
   // Kronecker eigenspaces.
-  optimize::EigenDesignOptions tight;
+  optimize::DesignOptions tight;
   tight.solver.relative_gap_tol = 1e-9;
   tight.solver.max_iterations = 6000;
   tight.complete_columns = false;
   const auto keig = *w.ImplicitEigen();
-  auto kron_tight = optimize::EigenDesignFromKronEigen(keig, tight);
+  auto kron_tight = optimize::Design(keig, tight);
   DPMM_CHECK_MSG(kron_tight.ok(), "kron tight design failed");
   linalg::SymmetricEigenResult shared{keig.values, keig.basis.Dense()};
-  auto dense_tight = optimize::EigenDesignFromEigen(shared, tight);
+  auto dense_tight = optimize::Design(shared, tight);
   DPMM_CHECK_MSG(dense_tight.ok(), "dense tight design failed");
 
   const auto& dt = dense_tight.ValueOrDie();
   const auto& kt = kron_tight.ValueOrDie();
   r.gap_dense = dt.duality_gap;
   r.gap_kron = kt.duality_gap;
+  // Same kept eigen-queries; dense row i is weight_i * eigenvector kept[i].
+  const auto& kron_strategy = dynamic_cast<const KronStrategy&>(*kt.strategy);
+  const std::vector<std::size_t>& kept = kron_strategy.kept();
+  const linalg::Matrix dense_a = dt.strategy->Materialize().matrix();
   double tr_dense = 0;
-  for (std::size_t i = 0; i < dt.kept.size(); ++i) {
-    tr_dense += dt.eigenvalues[dt.kept[i]] / (dt.weights[i] * dt.weights[i]);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const linalg::Vector row = dense_a.Row(i);
+    tr_dense += keig.values[kept[i]] / linalg::Dot(row, row);
   }
-  r.err_dense = ErrorFromTrace(dt.strategy.L2Sensitivity(), tr_dense,
+  r.err_dense = ErrorFromTrace(dt.strategy->L2Sensitivity(), tr_dense,
                                w.num_queries(), eopts);
   r.err_kron =
-      StrategyError(kt.eigenvalues, w.num_queries(), kt.strategy, eopts);
+      StrategyError(keig.values, w.num_queries(), kron_strategy, eopts);
   r.err_rel_diff =
       std::fabs(r.err_dense - r.err_kron) / std::max(r.err_dense, 1e-300);
   std::printf("  workload error : dense %.9g vs kron %.9g  (rel diff %.2e)\n",
@@ -128,10 +134,11 @@ ScaleResult RunScale(std::size_t side, std::size_t dims) {
   // Strategy selection. A modest iteration budget keeps the demo in
   // seconds-to-minutes territory; the achieved duality gap is reported (a
   // gap g inflates the achievable error by at most sqrt(1 + g)).
-  optimize::EigenDesignOptions options;
+  optimize::DesignOptions options;
   options.solver.max_iterations = 600;
+  options.engine = optimize::EngineSelection::kKron;
   Stopwatch sw;
-  auto design = optimize::EigenDesignKronForWorkload(w, options);
+  auto design = optimize::Design(w, options);
   r.t_design_s = sw.Seconds();
   DPMM_CHECK_MSG(design.ok(), "kron eigen-design failed at scale");
   const auto& d = design.ValueOrDie();
@@ -147,8 +154,7 @@ ScaleResult RunScale(std::size_t side, std::size_t dims) {
               r.t_design_s, r.rank, r.gap, r.predicted_error);
 
   // One full private release straight through the implicit mechanism.
-  auto mech = Mechanism::Prepare(std::make_shared<KronStrategy>(d.strategy),
-                                 eopts.privacy);
+  auto mech = Mechanism::Prepare(d.strategy, eopts.privacy);
   DPMM_CHECK_MSG(mech.ok(), "mechanism preparation failed at scale");
   linalg::Vector x(r.n);
   Rng rng(1234);

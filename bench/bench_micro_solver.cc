@@ -59,7 +59,7 @@ void BM_EigenDesignMarginals(benchmark::State& state) {
   MarginalsWorkload w = MarginalsWorkload::AllKWay(dom, 2);
   auto eig = w.AnalyticEigen();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(optimize::EigenDesignFromEigen(eig).ValueOrDie());
+    benchmark::DoNotOptimize(optimize::Design(eig).ValueOrDie());
   }
 }
 BENCHMARK(BM_EigenDesignMarginals)->Unit(benchmark::kMillisecond);

@@ -42,20 +42,20 @@ ThroughputResult Run(std::size_t side, std::size_t dims, std::size_t batch) {
   std::printf("\n[1] strategy selection: %zuD all-range %zu^%zu (n = %zu)\n",
               dims, side, dims, res.n);
 
-  optimize::EigenDesignOptions options;
+  optimize::DesignOptions options;
   options.solver.max_iterations = 600;
+  options.engine = optimize::EngineSelection::kKron;
   Stopwatch sw;
-  auto design = optimize::EigenDesignKronForWorkload(w, options);
+  auto design = optimize::Design(w, options);
   res.design_seconds = sw.Seconds();
   DPMM_CHECK_MSG(design.ok(), "kron eigen-design failed");
   const auto& d = design.ValueOrDie();
-  res.completion_rows = d.strategy.num_completion_rows();
+  res.completion_rows = d.strategy->num_queries() - d.rank;
   std::printf("  designed in %.2f s (rank %zu, %zu completion rows, gap %.1e)\n",
               res.design_seconds, d.rank, res.completion_rows, d.duality_gap);
 
   const ErrorOptions eopts = bench::PaperErrorOptions();
-  auto mech = Mechanism::Prepare(std::make_shared<KronStrategy>(d.strategy),
-                                 eopts.privacy);
+  auto mech = Mechanism::Prepare(d.strategy, eopts.privacy);
   DPMM_CHECK_MSG(mech.ok(), "mechanism preparation failed");
   const Mechanism& m = mech.ValueOrDie();
 

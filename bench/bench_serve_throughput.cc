@@ -108,14 +108,15 @@ ServeBenchResult Run(std::size_t side, std::size_t num_queries) {
   // [1] The design-side process: design, release, store.
   std::printf("\n[1] design + release + store: 2D all-range %zu^2 (n = %zu)\n",
               side, res.n);
-  optimize::EigenDesignOptions options;
+  optimize::DesignOptions options;
   options.solver.max_iterations = 600;
+  options.engine = optimize::EngineSelection::kKron;
   Stopwatch sw;
-  auto design = optimize::EigenDesignKronForWorkload(w, options);
+  auto design = optimize::Design(w, options);
   res.design_seconds = sw.Seconds();
   DPMM_CHECK_MSG(design.ok(), "kron eigen-design failed");
   auto& d = design.ValueOrDie();
-  res.completion_rows = d.strategy.num_completion_rows();
+  res.completion_rows = d.strategy->num_queries() - d.rank;
   std::printf("  designed in %.3f s (rank %zu, %zu completion rows)\n",
               res.design_seconds, d.rank, res.completion_rows);
 
@@ -125,14 +126,14 @@ ServeBenchResult Run(std::size_t side, std::size_t num_queries) {
     for (auto& v : x) v = static_cast<double>(data_rng.UniformInt(100));
   }
   Rng rng(20260728);
-  auto batch = release::ReleaseBatch(d.strategy, x, {budget}, &rng);
+  auto batch = release::ReleaseBatch(*d.strategy, x, {budget}, &rng);
 
   sw.Restart();
   {
     serialize::StrategyArtifact sa;
     sa.signature = signature;
     sa.domain_sizes = domain.sizes();
-    sa.strategy = std::make_shared<KronStrategy>(d.strategy);
+    sa.strategy = d.strategy;
     sa.solver_report = d.solver_report;
     sa.duality_gap = d.duality_gap;
     sa.rank = d.rank;
@@ -174,7 +175,7 @@ ServeBenchResult Run(std::size_t side, std::size_t num_queries) {
     ExplicitWorkload reference(domain, rows, "bench-adhoc");
     const linalg::Vector values = reference.Answer(batch.x_hats[0]);
     const linalg::Vector profile =
-        release::QueryErrorProfile(reference, d.strategy, budget);
+        release::QueryErrorProfile(reference, *d.strategy, budget);
     res.exact_match = true;
     const auto answers = engine.AnswerBatch(preds);
     for (std::size_t q = 0; q < preds.size(); ++q) {

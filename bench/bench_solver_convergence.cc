@@ -66,14 +66,14 @@ InstanceResult RunInstance(const std::string& name, const Workload& w,
   for (auto method :
        {optimize::SolverMethod::kAscent, optimize::SolverMethod::kFista,
         optimize::SolverMethod::kLbfgs}) {
-    optimize::EigenDesignOptions opt;
+    optimize::DesignOptions opt;
     opt.solver.method = method;
     opt.solver.relative_gap_tol = 1e-10;
     opt.solver.max_iterations = max_iterations;
     opt.solver.record_trajectory = true;
     opt.complete_columns = false;  // isolate the solve
     Stopwatch sw;
-    auto designed = optimize::EigenDesignFromKronEigen(keig, opt);
+    auto designed = optimize::Design(keig, opt);
     const double total_seconds = sw.Seconds();
     DPMM_CHECK_MSG(designed.ok(), "design failed in convergence bench");
     const auto& d = designed.ValueOrDie();

@@ -83,12 +83,12 @@ int main(int argc, char** argv) {
       }
     }
     linalg::SymmetricEigenResult peig{eig.values, std::move(pvecs)};
-    auto design = optimize::EigenDesignFromEigen(peig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(peig);
     const linalg::Matrix gram = w.Gram();
     const std::size_t m = w.num_queries();
     Row r;
     r.workload = "1D Range (permuted)";
-    r.eigen_err = StrategyError(gram, m, design.strategy, opts);
+    r.eigen_err = StrategyError(gram, m, design, opts);
     r.competitor_err["Wav."] = StrategyError(gram, m, WaveletStrategy(dom), opts);
     r.competitor_err["Hier."] =
         StrategyError(gram, m, HierarchicalStrategy(dom), opts);
@@ -103,12 +103,12 @@ int main(int argc, char** argv) {
         dom, way, MarginalsWorkload::Flavor::kRangeMarginal);
     const linalg::Matrix gram = w.Gram();
     auto eig = linalg::SymmetricEigen(gram).ValueOrDie();
-    auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(eig);
     const std::size_t m = w.num_queries();
     const auto marg_sets = AllSubsetsOfSize(dom.num_attributes(), way);
     Row r;
     r.workload = std::to_string(way) + "-Way Range Marginal";
-    r.eigen_err = StrategyError(gram, m, design.strategy, opts);
+    r.eigen_err = StrategyError(gram, m, design, opts);
     r.competitor_err["Wav."] = StrategyError(gram, m, WaveletStrategy(dom), opts);
     r.competitor_err["Hier."] =
         StrategyError(gram, m, HierarchicalStrategy(dom), opts);
@@ -126,11 +126,11 @@ int main(int argc, char** argv) {
     PrefixWorkload w(n1d);
     const linalg::Matrix gram = w.Gram();
     auto eig = linalg::SymmetricEigen(gram).ValueOrDie();
-    auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(eig);
     const std::size_t m = w.num_queries();
     Row r;
     r.workload = "1D CDF";
-    r.eigen_err = StrategyError(gram, m, design.strategy, opts);
+    r.eigen_err = StrategyError(gram, m, design, opts);
     r.competitor_err["Wav."] = StrategyError(gram, m, WaveletStrategy(dom), opts);
     r.competitor_err["Hier."] =
         StrategyError(gram, m, HierarchicalStrategy(dom), opts);
@@ -144,11 +144,11 @@ int main(int argc, char** argv) {
     auto w = builders::RandomPredicateWorkload(dom, small ? 300 : 1000, &rng);
     const linalg::Matrix gram = w.Gram();
     auto eig = linalg::SymmetricEigen(gram).ValueOrDie();
-    auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+    const Strategy design = bench::DesignStrategy(eig);
     const std::size_t m = w.num_queries();
     Row r;
     r.workload = "Predicate (sampled)";
-    r.eigen_err = StrategyError(gram, m, design.strategy, opts);
+    r.eigen_err = StrategyError(gram, m, design, opts);
     r.competitor_err["Wav."] = StrategyError(gram, m, WaveletStrategy(dom), opts);
     r.competitor_err["Hier."] =
         StrategyError(gram, m, HierarchicalStrategy(dom), opts);

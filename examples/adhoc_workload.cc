@@ -35,7 +35,8 @@ int main() {
   const linalg::Matrix gram = combined.Gram();
   const double bound = SvdErrorLowerBound(gram, combined.num_queries(), opts);
 
-  auto design = optimize::EigenDesign(gram).ValueOrDie();
+  const Strategy design =
+      optimize::Design(combined).ValueOrDie().strategy->Materialize();
 
   TablePrinter table({"strategy", "workload error", "vs bound"});
   auto add = [&](const std::string& name, double err) {
@@ -43,7 +44,7 @@ int main() {
                   TablePrinter::Num(err / bound, 3) + "x"});
   };
   add("EigenDesign",
-      StrategyError(gram, combined.num_queries(), design.strategy, opts));
+      StrategyError(gram, combined.num_queries(), design, opts));
   add("Wavelet",
       StrategyError(gram, combined.num_queries(), WaveletStrategy(dom), opts));
   add("Hierarchical", StrategyError(gram, combined.num_queries(),
@@ -59,7 +60,8 @@ int main() {
   auto base = std::make_shared<StackedWorkload>(combined);
   PermutedWorkload permuted(base, rng.Permutation(n));
   const linalg::Matrix pgram = permuted.Gram();
-  auto pdesign = optimize::EigenDesign(pgram).ValueOrDie();
+  const Strategy pdesign =
+      optimize::Design(permuted).ValueOrDie().strategy->Materialize();
 
   TablePrinter ptable({"strategy", "error (permuted cells)", "vs bound"});
   const double pbound =
@@ -68,8 +70,8 @@ int main() {
     ptable.AddRow({name, TablePrinter::Num(err, 3),
                    TablePrinter::Num(err / pbound, 3) + "x"});
   };
-  padd("EigenDesign", StrategyError(pgram, permuted.num_queries(),
-                                    pdesign.strategy, opts));
+  padd("EigenDesign",
+       StrategyError(pgram, permuted.num_queries(), pdesign, opts));
   padd("Wavelet", StrategyError(pgram, permuted.num_queries(),
                                 WaveletStrategy(dom), opts));
   padd("Hierarchical", StrategyError(pgram, permuted.num_queries(),

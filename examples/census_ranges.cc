@@ -31,7 +31,10 @@ int main(int argc, char** argv) {
   // objective). This is the expensive step, but it depends only on the
   // workload — it is computed once and reused for any database.
   Stopwatch sw;
-  auto design = optimize::EigenDesign(workload.NormalizedGram()).ValueOrDie();
+  auto design =
+      optimize::Design(
+          linalg::SymmetricEigen(workload.NormalizedGram()).ValueOrDie())
+          .ValueOrDie();
   std::printf("Eigen-design selected in %.1fs (rank %zu, gap %.1e)\n",
               sw.Seconds(), design.rank, design.duality_gap);
 
@@ -47,7 +50,7 @@ int main(int argc, char** argv) {
     table.AddRow({s.name(), TablePrinter::Num(rel, 4),
                   TablePrinter::Num(mech.noise_scale(), 1)});
   };
-  report(design.strategy);
+  report(design.strategy->Materialize());
   report(WaveletStrategy(census.domain));
   report(HierarchicalStrategy(census.domain));
 

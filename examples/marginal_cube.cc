@@ -25,8 +25,7 @@ int main() {
 
   // Strategy selection through the closed-form eigendecomposition.
   Stopwatch sw;
-  auto design =
-      optimize::EigenDesignFromEigen(workload.AnalyticEigen()).ValueOrDie();
+  auto design = optimize::Design(workload.AnalyticEigen()).ValueOrDie();
   std::printf("Eigen-design (analytic eigendecomposition) in %.2fs\n",
               sw.Seconds());
 
@@ -53,7 +52,8 @@ int main() {
                   TablePrinter::Num(err / bound, 3) + "x"});
   };
   add("EigenDesign",
-      StrategyError(gram, workload.num_queries(), design.strategy, opts));
+      StrategyError(gram, workload.num_queries(),
+                    design.strategy->Materialize(), opts));
   add("Fourier", StrategyError(gram, workload.num_queries(), fourier, opts));
   add("DataCube",
       StrategyError(gram, workload.num_queries(), cube.strategy, opts));
@@ -63,9 +63,7 @@ int main() {
   table.Print();
 
   // One actual private release: print the education x income marginal.
-  auto mech = Mechanism::Prepare(std::make_shared<Strategy>(design.strategy),
-                                 opts.privacy)
-                  .ValueOrDie();
+  auto mech = Mechanism::Prepare(design.strategy, opts.privacy).ValueOrDie();
   Rng rng(7);
   linalg::Vector x_hat = mech.Release(adult.counts, &rng);
   DataVector private_view(adult.domain, x_hat);

@@ -40,15 +40,13 @@ int main() {
 
   // Adaptive design + release.
   PrivacyParams privacy{0.5, 1e-4};
-  auto design = optimize::EigenDesignForWorkload(workload).ValueOrDie();
-  auto mech = Mechanism::Prepare(std::make_shared<Strategy>(design.strategy),
-                                 privacy)
-                  .ValueOrDie();
+  auto design = optimize::Design(workload).ValueOrDie();
+  auto mech = Mechanism::Prepare(design.strategy, privacy).ValueOrDie();
   Rng rng(7);
   linalg::Vector answers = mech.Run(workload, adult.counts, &rng);
   linalg::Vector truth = workload.Answer(adult.counts);
-  linalg::Vector sd = release::QueryErrorProfile(workload, design.strategy,
-                                                 privacy);
+  linalg::Vector sd =
+      release::QueryErrorProfile(workload, *design.strategy, privacy);
 
   std::printf("%-52s %9s %10s %8s\n", "query", "true", "private", "+-sd");
   for (std::size_t q = 0; q < answers.size(); ++q) {
@@ -59,12 +57,12 @@ int main() {
   // Compare against answering naively (workload as strategy).
   ErrorOptions opts;
   opts.privacy = privacy;
+  const double adaptive_err =
+      StrategyError(workload, design.strategy->Materialize(), opts);
   std::printf("\nWorkload error: eigen-design %.2f vs naive Gaussian %.2f "
               "(%.1fx better), bound %.2f\n",
-              StrategyError(workload, design.strategy, opts),
-              GaussianBaselineError(workload, opts),
-              GaussianBaselineError(workload, opts) /
-                  StrategyError(workload, design.strategy, opts),
+              adaptive_err, GaussianBaselineError(workload, opts),
+              GaussianBaselineError(workload, opts) / adaptive_err,
               SvdErrorLowerBound(workload.Gram(), workload.num_queries(),
                                  opts));
   return 0;

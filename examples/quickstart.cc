@@ -31,7 +31,7 @@ int main() {
   opts.privacy = {0.5, 1e-4};
   opts.convention = ErrorConvention::kLegacyExample4;  // paper's printout
 
-  auto design = optimize::EigenDesignForWorkload(workload).ValueOrDie();
+  auto design = optimize::Design(workload).ValueOrDie();
   Strategy identity = IdentityStrategy(8);
   Strategy wavelet = WaveletStrategy(Domain::OneDim(8));
 
@@ -43,16 +43,14 @@ int main() {
   std::printf("  wavelet strategy     : %6.2f   (paper: 34.62)\n",
               StrategyError(workload, wavelet, opts));
   std::printf("  eigen-design (ours)  : %6.2f   (paper: 29.79)\n",
-              StrategyError(workload, design.strategy, opts));
+              StrategyError(workload, design.strategy->Materialize(), opts));
   std::printf("  provable lower bound : %6.2f   (paper: 29.18)\n",
               SvdErrorLowerBound(workload.Gram(), 8, opts));
 
   // --- 3. Release private answers -----------------------------------------
   // A fictitious database of 400 students.
   linalg::Vector x{52, 58, 45, 40, 60, 66, 43, 36};
-  auto mech = Mechanism::Prepare(std::make_shared<Strategy>(design.strategy),
-                                 opts.privacy)
-                  .ValueOrDie();
+  auto mech = Mechanism::Prepare(design.strategy, opts.privacy).ValueOrDie();
   Rng rng(2012);
   linalg::Vector answers = mech.Run(workload, x, &rng);
   linalg::Vector truth = workload.Answer(x);

@@ -4,12 +4,15 @@
 // selection algorithm, the competing strategies of the paper's evaluation,
 // and the supporting linear algebra.
 //
-// Quickstart — the unified API. Design() picks the right strategy engine
-// for the workload (the implicit Kronecker pipeline when the workload has
-// Kronecker eigenstructure, the dense pipeline otherwise; overridable via
-// DesignOptions::engine), and Mechanism runs the one Prop. 3 release
-// (y = A x + noise, x_hat = (A^T A)^+ A^T y) through the LinearStrategy
-// interface, whichever engine the strategy uses:
+// Quickstart — the unified API. optimize::Design is one overload set
+// returning one DesignResult: Design(workload) picks the engine (the
+// implicit Kronecker pipeline when the workload has Kronecker
+// eigenstructure, dense otherwise; overridable via DesignOptions::engine),
+// and Design(SymmetricEigenResult) / Design(KronEigenResult) run the dense /
+// kron engine from a precomputed eigendecomposition of W^T W. Mechanism
+// runs the one Prop. 3 release (y = A x + noise, x_hat = (A^T A)^+ A^T y)
+// through the LinearStrategy interface, whichever engine the strategy uses;
+// LinearStrategy::Materialize gives any strategy's explicit matrix form:
 //
 //   using namespace dpmm;
 //   auto w = ExplicitWorkload::FromMatrix(builders::Fig1Matrix(), "Fig1");
@@ -21,6 +24,7 @@
 //   linalg::Vector answers = w.Answer(x_hat);        // workload answers
 //   linalg::Vector sd = release::QueryErrorProfile(  // per-query stddev
 //       w, *design.strategy, budget);
+//   Strategy dense = design.strategy->Materialize(); // p x n matrix form
 //
 // A hand-built strategy rides the same mechanism — it is held by shared
 // pointer, so copies of the mechanism share the strategy's one cached

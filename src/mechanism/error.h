@@ -59,12 +59,12 @@ double StrategyError(const Workload& w, const Strategy& a,
 /// trace(G_w (A^T A)^+) for an implicit Kronecker strategy whose eigenbasis
 /// diagonalizes the workload Gram. `gram_eigenvalues` is the workload
 /// spectrum in the strategy's natural Kronecker order (length num_cells, as
-/// produced by Workload::ImplicitEigen / KronEigenDesignResult). Without
-/// completion rows both matrices are diagonal in the shared basis and the
-/// trace is an O(n) sum; with completion rows each nonzero eigendirection
-/// takes one implicit normal-equation solve (exact, but O(n) solves — meant
-/// for validation, not the hot path; the hot path reports the pre-completion
-/// predicted objective, an upper bound since completion only adds rows).
+/// produced by Workload::ImplicitEigen). Without completion rows both
+/// matrices are diagonal in the shared basis and the trace is an O(n) sum;
+/// with completion rows each nonzero eigendirection takes one implicit
+/// normal-equation solve (exact, but O(n) solves — meant for validation, not
+/// the hot path; the hot path reports the pre-completion predicted
+/// objective, an upper bound since completion only adds rows).
 double TraceTerm(const linalg::Vector& gram_eigenvalues,
                  const KronStrategy& a);
 

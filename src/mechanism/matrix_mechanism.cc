@@ -69,19 +69,6 @@ std::vector<Vector> Mechanism::ReleaseBatch(const Vector& x, std::size_t batch,
                           std::vector<double>(batch, sigma_), rng);
 }
 
-Result<Mechanism> DesignMechanism(const Workload& workload,
-                                  PrivacyParams privacy,
-                                  const optimize::DesignOptions& options) {
-  auto design = optimize::Design(workload, options);
-  if (!design.ok()) return design.status();
-  auto& d = design.ValueOrDie();
-  auto mech = Mechanism::Prepare(d.strategy, privacy);
-  if (!mech.ok()) return mech.status();
-  Mechanism out = std::move(mech).ValueOrDie();
-  out.AttachCertificate(std::move(d.solver_report), d.duality_gap, d.rank);
-  return out;
-}
-
 double MeanRelativeError(const Workload& workload, const Mechanism& mech,
                          const DataVector& data,
                          const RelativeErrorOptions& opts) {

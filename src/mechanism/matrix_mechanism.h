@@ -18,7 +18,6 @@
 
 #include "data/data_vector.h"
 #include "mechanism/privacy.h"
-#include "optimize/eigen_design.h"
 #include "strategy/linear_strategy.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -61,21 +60,6 @@ class Mechanism {
   std::vector<linalg::Vector> ReleaseBatch(const linalg::Vector& x,
                                            std::size_t batch, Rng* rng) const;
 
-  /// The Program-1 certificate of the design that produced this mechanism
-  /// (attached by DesignMechanism; default-empty for mechanisms prepared
-  /// from a bare strategy — no solve happened).
-  const optimize::SolverReport& solver_report() const {
-    return solver_report_;
-  }
-  double duality_gap() const { return duality_gap_; }
-  std::size_t rank() const { return rank_; }
-  void AttachCertificate(optimize::SolverReport report, double duality_gap,
-                         std::size_t rank) {
-    solver_report_ = std::move(report);
-    duality_gap_ = duality_gap;
-    rank_ = rank;
-  }
-
  private:
   Mechanism(std::shared_ptr<const LinearStrategy> strategy, NoiseKind noise,
             double sigma)
@@ -84,9 +68,6 @@ class Mechanism {
   std::shared_ptr<const LinearStrategy> strategy_;
   NoiseKind noise_;
   double sigma_;  // noise scale for the strategy queries
-  optimize::SolverReport solver_report_;
-  double duality_gap_ = 0;
-  std::size_t rank_ = 0;
 };
 
 /// The release assembly behind every private estimate: y_b = A x + noise at
@@ -101,15 +82,6 @@ std::vector<linalg::Vector> ReleaseEstimates(
     const LinearStrategy& strategy, const linalg::Vector& x,
     Mechanism::NoiseKind noise, const std::vector<double>& noise_scales,
     Rng* rng);
-
-/// Strategy selection and mechanism preparation in one step: Design() with
-/// the options' engine selection (kAuto = the ROADMAP decision rule), then
-/// Mechanism::Prepare, with the Program-1 convergence certificate attached
-/// (the CLI prints the achieved duality gap and iteration count with every
-/// release).
-Result<Mechanism> DesignMechanism(const Workload& workload,
-                                  PrivacyParams privacy,
-                                  const optimize::DesignOptions& options = {});
 
 /// Options for Monte-Carlo relative-error evaluation (Sec. 3.4 / Fig. 3b,d).
 struct RelativeErrorOptions {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/eigen_sym.h"
+#include "strategy/kron_strategy.h"
 
 namespace dpmm {
 namespace optimize {
@@ -10,6 +11,12 @@ namespace optimize {
 using linalg::Matrix;
 using linalg::Vector;
 
+namespace {
+
+/// Steps 4-5 completion scales from the squared column norms of the
+/// weighted design: entry j is sqrt(max(col2) - col2[j]) where the deficit
+/// exceeds the shared threshold, 0 otherwise; an empty vector when no
+/// column is deficient. The one completion rule of both engines' assembly.
 Vector CompletionScales(const Vector& col2) {
   double max2 = 0;
   for (double v : col2) max2 = std::max(max2, v);
@@ -25,6 +32,28 @@ Vector CompletionScales(const Vector& col2) {
   if (!any) completion.clear();
   return completion;
 }
+
+/// The certificate fields every engine copies from its Program-1 solution.
+DesignResult CertifiedResult(const WeightingSolution& sol, std::size_t rank) {
+  DesignResult out;
+  out.rank = rank;
+  out.predicted_objective = sol.objective;
+  out.duality_gap = sol.relative_gap;
+  out.solver_iterations = sol.iterations;
+  out.solver_report = sol.report;
+  return out;
+}
+
+/// lambda_i = sqrt(u_i): the eigen-query weights from the Program-1 point.
+Vector WeightsFromSolution(const Vector& u) {
+  Vector weights(u.size());
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    weights[i] = std::sqrt(std::max(0.0, u[i]));
+  }
+  return weights;
+}
+
+}  // namespace
 
 Strategy AssembleWeightedStrategy(const Matrix& eigenvectors,
                                   const std::vector<std::size_t>& kept,
@@ -86,9 +115,12 @@ Strategy SqrtEigenvalueStrategy(const linalg::SymmetricEigenResult& eigen,
   return Strategy(std::move(a), "SqrtEigenvalue");
 }
 
-Result<EigenDesignResult> EigenDesignFromEigen(
-    const linalg::SymmetricEigenResult& eigen,
-    const EigenDesignOptions& options) {
+Result<DesignResult> Design(const linalg::SymmetricEigenResult& eigen,
+                            const DesignOptions& options) {
+  if (options.engine == EngineSelection::kKron) {
+    return Status::InvalidArgument(
+        "a dense eigendecomposition cannot yield a kron strategy");
+  }
   std::vector<std::size_t> kept;
   WeightingProblem problem =
       MakeEigenProblem(eigen, options.rank_rel_tol, &kept);
@@ -96,29 +128,12 @@ Result<EigenDesignResult> EigenDesignFromEigen(
   if (!solved.ok()) return solved.status();
   const WeightingSolution& sol = solved.ValueOrDie();
 
-  EigenDesignResult out;
-  out.eigenvalues = eigen.values;
-  out.kept = kept;
-  out.rank = kept.size();
-  out.predicted_objective = sol.objective;
-  out.duality_gap = sol.relative_gap;
-  out.solver_iterations = sol.iterations;
-  out.solver_report = sol.report;
-  out.weights.resize(kept.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    out.weights[i] = std::sqrt(std::max(0.0, sol.x[i]));
-  }
-  out.strategy =
-      AssembleWeightedStrategy(eigen.vectors, kept, out.weights,
-                               options.complete_columns, "EigenDesign");
+  DesignResult out = CertifiedResult(sol, kept.size());
+  out.engine = StrategyEngine::kDense;
+  out.strategy = std::make_shared<Strategy>(AssembleWeightedStrategy(
+      eigen.vectors, kept, WeightsFromSolution(sol.x),
+      options.complete_columns, "EigenDesign"));
   return out;
-}
-
-Result<EigenDesignResult> EigenDesign(const Matrix& workload_gram,
-                                      const EigenDesignOptions& options) {
-  auto eig = linalg::SymmetricEigen(workload_gram);
-  if (!eig.ok()) return eig.status();
-  return EigenDesignFromEigen(eig.ValueOrDie(), options);
 }
 
 namespace {
@@ -137,7 +152,7 @@ namespace {
 // failed per-axis solve); the caller then takes the generic path.
 Vector SeparableWarmStart(const linalg::KronEigenResult& eigen,
                           const std::vector<std::size_t>& kept,
-                          const EigenDesignOptions& options,
+                          const DesignOptions& options,
                           int* axis_iterations, double* axis_seconds) {
   const std::size_t n = eigen.basis.dim();
   const auto& factors = eigen.basis.factors();
@@ -222,8 +237,12 @@ Vector SeparableWarmStart(const linalg::KronEigenResult& eigen,
 
 }  // namespace
 
-Result<KronEigenDesignResult> EigenDesignFromKronEigen(
-    const linalg::KronEigenResult& eigen, const EigenDesignOptions& options) {
+Result<DesignResult> Design(const linalg::KronEigenResult& eigen,
+                            const DesignOptions& options) {
+  if (options.engine == EngineSelection::kDense) {
+    return Status::InvalidArgument(
+        "a factored eigendecomposition cannot yield a dense strategy");
+  }
   const std::size_t n = eigen.basis.dim();
   DPMM_CHECK_EQ(eigen.values.size(), n);
   // Sec. 4.1 rank reduction through the shared threshold rule.
@@ -231,7 +250,7 @@ Result<KronEigenDesignResult> EigenDesignFromKronEigen(
   std::vector<std::size_t> kept =
       KeptSpectrum(eigen.values, options.rank_rel_tol, &c);
   if (kept.empty()) {
-    return Status::InvalidArgument("zero spectrum in EigenDesignFromKronEigen");
+    return Status::InvalidArgument("zero spectrum in kron Design");
   }
 
   const KronEigenConstraintOperator op(&eigen.basis, kept);
@@ -263,18 +282,8 @@ Result<KronEigenDesignResult> EigenDesignFromKronEigen(
     }
   }
 
-  KronEigenDesignResult out;
-  out.eigenvalues = eigen.values;
-  out.kept = kept;
-  out.rank = kept.size();
-  out.predicted_objective = sol.objective;
-  out.duality_gap = sol.relative_gap;
-  out.solver_iterations = sol.iterations;
-  out.solver_report = sol.report;
-  out.weights.resize(kept.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    out.weights[i] = std::sqrt(std::max(0.0, sol.x[i]));
-  }
+  DesignResult out = CertifiedResult(sol, kept.size());
+  out.engine = StrategyEngine::kKron;
 
   // Steps 4-5 without forming A: squared column norms are one squared-basis
   // apply of u = lambda^2; deficits become the diagonal completion block
@@ -287,46 +296,10 @@ Result<KronEigenDesignResult> EigenDesignFromKronEigen(
     }
     completion = CompletionScales(eigen.basis.ApplySquared(u_full));
   }
-  out.strategy =
-      KronStrategy(eigen.basis, std::move(kept), out.weights,
-                   std::move(completion), "EigenDesign(Kron)");
+  out.strategy = std::make_shared<KronStrategy>(
+      eigen.basis, std::move(kept), WeightsFromSolution(sol.x),
+      std::move(completion), "EigenDesign(Kron)");
   return out;
-}
-
-Result<KronEigenDesignResult> EigenDesignKron(
-    const linalg::KronGram& workload_gram, const EigenDesignOptions& options) {
-  auto eig = linalg::FactorKronEigen(workload_gram);
-  if (!eig.ok()) return eig.status();
-  return EigenDesignFromKronEigen(eig.ValueOrDie(), options);
-}
-
-Result<KronEigenDesignResult> EigenDesignKronForWorkload(
-    const Workload& workload, const EigenDesignOptions& options) {
-  auto eig = workload.ImplicitEigen();
-  if (eig.has_value()) return EigenDesignFromKronEigen(*eig, options);
-  // nullopt conflates "no structure" with a failed factor eigensolve;
-  // distinguish them here so the caller sees the real error.
-  auto kron = workload.KronGramFactors();
-  if (kron.has_value()) {
-    auto factored = linalg::FactorKronEigen(*kron);
-    if (!factored.ok()) return factored.status();
-  }
-  return Status::InvalidArgument("workload '" + workload.Name() +
-                                 "' exposes no Kronecker eigenstructure");
-}
-
-Result<EigenDesignResult> EigenDesignForWorkload(
-    const Workload& workload, const EigenDesignOptions& options) {
-  // Low-rank shortcut (Sec. 4.1): for explicit workloads with many fewer
-  // queries than cells, the nonzero spectrum of W^T W comes from the small
-  // m x m side — O(m^2 n) instead of the O(n^3) dense eigensolve.
-  const linalg::Matrix* w = workload.matrix();
-  if (w != nullptr && w->rows() * 2 < w->cols()) {
-    auto eig = linalg::LowRankGramEigen(*w, options.rank_rel_tol);
-    if (!eig.ok()) return eig.status();
-    return EigenDesignFromEigen(eig.ValueOrDie(), options);
-  }
-  return EigenDesign(workload.Gram(), options);
 }
 
 std::optional<EngineSelection> ParseEngineSelection(const std::string& name) {
@@ -350,49 +323,38 @@ const char* EngineSelectionName(EngineSelection selection) {
 
 Result<DesignResult> Design(const Workload& workload,
                             const DesignOptions& options) {
-  DesignResult out;
-  // Compute the (uncached, O(sum d_i^3)) factored eigendecomposition once
-  // and feed it straight into the kron design — probing has_value() and
-  // then letting EigenDesignKronForWorkload re-derive it would double the
-  // design cost on exactly the large-domain path the engine exists for.
-  std::optional<linalg::KronEigenResult> keig;
   if (options.engine != EngineSelection::kDense) {
-    keig = workload.ImplicitEigen();
+    // The factored eigendecomposition is uncached (O(sum d_i^3)): compute
+    // it once and design straight from it.
+    std::optional<linalg::KronEigenResult> keig = workload.ImplicitEigen();
+    if (keig.has_value()) return Design(*keig, options);
+    if (options.engine == EngineSelection::kKron) {
+      // nullopt conflates "no structure" with a failed factor eigensolve;
+      // re-run the latter so the caller sees the real error.
+      auto kron = workload.KronGramFactors();
+      if (kron.has_value()) {
+        auto factored = linalg::FactorKronEigen(*kron);
+        if (!factored.ok()) return factored.status();
+      }
+      return Status::InvalidArgument("workload '" + workload.Name() +
+                                     "' exposes no Kronecker eigenstructure");
+    }
   }
-  if (options.engine == EngineSelection::kKron && !keig.has_value()) {
-    // Delegate so the nullopt disambiguation ("no structure" vs a failed
-    // factor eigensolve) lives in exactly one place; ImplicitEigen() is
-    // deterministic, so the re-probe fails too and only this error path
-    // pays it.
-    auto design = EigenDesignKronForWorkload(workload, options);
-    DPMM_CHECK_MSG(!design.ok(),
-                   "ImplicitEigen() nullopt but the kron design succeeded");
-    return design.status();
+  // Low-rank shortcut (Sec. 4.1): for explicit workloads with many fewer
+  // queries than cells, the nonzero spectrum of W^T W comes from the small
+  // m x m side — O(m^2 n) instead of the O(n^3) dense eigensolve.
+  const linalg::Matrix* w = workload.matrix();
+  if (w != nullptr && w->rows() * 2 < w->cols()) {
+    auto eig = linalg::LowRankGramEigen(*w, options.rank_rel_tol);
+    if (!eig.ok()) return eig.status();
+    return Design(eig.ValueOrDie(), options);
   }
-  if (keig.has_value()) {
-    auto design = EigenDesignFromKronEigen(*keig, options);
-    if (!design.ok()) return design.status();
-    auto& d = design.ValueOrDie();
-    out.strategy = std::make_shared<KronStrategy>(std::move(d.strategy));
-    out.engine = StrategyEngine::kKron;
-    out.predicted_objective = d.predicted_objective;
-    out.duality_gap = d.duality_gap;
-    out.solver_iterations = d.solver_iterations;
-    out.rank = d.rank;
-    out.solver_report = std::move(d.solver_report);
-    return out;
-  }
-  auto design = EigenDesignForWorkload(workload, options);
-  if (!design.ok()) return design.status();
-  auto& d = design.ValueOrDie();
-  out.strategy = std::make_shared<Strategy>(std::move(d.strategy));
-  out.engine = StrategyEngine::kDense;
-  out.predicted_objective = d.predicted_objective;
-  out.duality_gap = d.duality_gap;
-  out.solver_iterations = d.solver_iterations;
-  out.rank = d.rank;
-  out.solver_report = std::move(d.solver_report);
-  return out;
+  // The Gram lives until the design returns: freeing it first measured a
+  // higher peak RSS (perfbench adhoc, +1.2 MB) through allocator reuse.
+  const linalg::Matrix gram = workload.Gram();
+  auto eig = linalg::SymmetricEigen(gram);
+  if (!eig.ok()) return eig.status();
+  return Design(eig.ValueOrDie(), options);
 }
 
 }  // namespace optimize

@@ -8,6 +8,9 @@
 //      sensitivity but adds information (Steps 4-5 of Program 2).
 // Zero eigenvalues are dropped (Sec. 4.1 rank reduction); the completion
 // rows restore full rank so the mechanism's least-squares step is unique.
+// One overload set of Design() is the whole design API: over a workload
+// (which runs step 1 and picks the engine), a dense or a factored
+// eigendecomposition; every overload returns the one DesignResult.
 #ifndef DPMM_OPTIMIZE_EIGEN_DESIGN_H_
 #define DPMM_OPTIMIZE_EIGEN_DESIGN_H_
 
@@ -18,7 +21,6 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/kron_operator.h"
 #include "optimize/dual_solver.h"
-#include "strategy/kron_strategy.h"
 #include "strategy/linear_strategy.h"
 #include "strategy/strategy.h"
 #include "util/status.h"
@@ -26,93 +28,6 @@
 
 namespace dpmm {
 namespace optimize {
-
-struct EigenDesignOptions {
-  /// Eigenvalues below rank_rel_tol * max are treated as zero.
-  double rank_rel_tol = 1e-10;
-  SolverOptions solver;
-  /// Steps 4-5 (column completion). Disabled only in ablation benches.
-  bool complete_columns = true;
-};
-
-struct EigenDesignResult {
-  Strategy strategy;                 // A, sensitivity normalized to 1
-  linalg::Vector weights;            // lambda_i for the kept eigen-queries
-  std::vector<std::size_t> kept;     // indices into the eigendecomposition
-  /// Spectrum of W^T W (ascending); truncated to the nonzero part when the
-  /// low-rank path was taken.
-  linalg::Vector eigenvalues;
-  /// Predicted trace term sum c_i/u_i at sensitivity 1 (before completion):
-  /// total-convention error = sqrt(P * predicted_objective).
-  double predicted_objective = 0;
-  double duality_gap = 0;
-  int solver_iterations = 0;
-  std::size_t rank = 0;
-  /// Program-1 convergence diagnostics (method, phase switches, restarts,
-  /// optional gap trajectory when options.solver.record_trajectory is set).
-  SolverReport solver_report;
-};
-
-/// Runs Program 2 given a precomputed eigendecomposition of W^T W (use this
-/// with MarginalsWorkload::AnalyticEigen, or to share one decomposition
-/// across several designs).
-Result<EigenDesignResult> EigenDesignFromEigen(
-    const linalg::SymmetricEigenResult& eigen,
-    const EigenDesignOptions& options = {});
-
-/// Runs Program 2 on a workload Gram matrix (numeric eigendecomposition).
-Result<EigenDesignResult> EigenDesign(const linalg::Matrix& workload_gram,
-                                      const EigenDesignOptions& options = {});
-
-/// Convenience: eigen-design for a workload (absolute error objective).
-/// Explicit workloads with m queries over n cells and m << n take the
-/// Sec. 4.1 low-rank path: the nonzero spectrum of W^T W is computed from
-/// the m x m side in O(m^2 n) instead of a dense O(n^3) eigensolve.
-Result<EigenDesignResult> EigenDesignForWorkload(
-    const Workload& workload, const EigenDesignOptions& options = {});
-
-/// Program 2 through the Kronecker fast path: same algorithm, no dense
-/// matrices anywhere. The spectrum comes factored (natural Kronecker order),
-/// the weighting problem runs against the implicit squared-eigenbasis
-/// constraint operator, and the result is an implicit KronStrategy.
-struct KronEigenDesignResult {
-  KronStrategy strategy;
-  linalg::Vector weights;          // lambda_i for the kept eigen-queries
-  std::vector<std::size_t> kept;   // natural Kronecker indices, ascending
-  /// Full spectrum of W^T W in natural Kronecker order (length n).
-  linalg::Vector eigenvalues;
-  /// Predicted trace term sum c_i/u_i at sensitivity 1 (before completion).
-  double predicted_objective = 0;
-  double duality_gap = 0;
-  int solver_iterations = 0;
-  std::size_t rank = 0;
-  /// Program-1 convergence diagnostics (see EigenDesignResult).
-  SolverReport solver_report;
-};
-
-/// Runs Program 2 given a factored eigendecomposition (use with
-/// Workload::ImplicitEigen or linalg::FactorKronEigen). Total cost
-/// O(sum d_i^3 + iters * n sum d_i) against the dense path's O(n^3).
-Result<KronEigenDesignResult> EigenDesignFromKronEigen(
-    const linalg::KronEigenResult& eigen,
-    const EigenDesignOptions& options = {});
-
-/// Runs Program 2 on a Kronecker-factored workload Gram.
-Result<KronEigenDesignResult> EigenDesignKron(
-    const linalg::KronGram& workload_gram,
-    const EigenDesignOptions& options = {});
-
-/// Kronecker eigen-design for a structured workload; fails with
-/// InvalidArgument when the workload exposes no Kronecker eigenstructure
-/// (use EigenDesignForWorkload for the dense path in that case).
-Result<KronEigenDesignResult> EigenDesignKronForWorkload(
-    const Workload& workload, const EigenDesignOptions& options = {});
-
-// ---- The unified entry point. Design() runs Program 2 for any workload and
-// returns the strategy behind the engine-agnostic LinearStrategy interface;
-// EigenDesignForWorkload / EigenDesignKronForWorkload remain as the
-// per-engine layers underneath it (Design adds only the engine decision and
-// the polymorphic wrapping — the arithmetic per engine is identical).
 
 /// Which engine Design() selects. kAuto encodes the ROADMAP decision rule:
 /// implicit (Kronecker) whenever the workload exposes Kronecker
@@ -130,39 +45,62 @@ enum class EngineSelection {
 std::optional<EngineSelection> ParseEngineSelection(const std::string& name);
 const char* EngineSelectionName(EngineSelection selection);
 
-struct DesignOptions : EigenDesignOptions {
+struct DesignOptions {
+  /// Eigenvalues below rank_rel_tol * max are treated as zero.
+  double rank_rel_tol = 1e-10;
+  SolverOptions solver;
+  /// Steps 4-5 (column completion). Disabled only in ablation benches.
+  bool complete_columns = true;
+  /// Engine for Design(workload); the spectrum overloads accept kAuto and
+  /// their own engine.
   EngineSelection engine = EngineSelection::kAuto;
 };
 
-/// The engine-agnostic design result: the common subset of
-/// EigenDesignResult / KronEigenDesignResult, with the strategy behind the
+/// The design result of every engine, with the strategy behind the
 /// interface. `strategy` is shared (immutable) so a StrategyArtifact, a
 /// Mechanism and concurrent serving readers can hold it without copies.
+/// The kept eigen-queries and their weights live in the strategy.
 struct DesignResult {
   std::shared_ptr<const LinearStrategy> strategy;
   StrategyEngine engine = StrategyEngine::kDense;
-  /// Predicted trace term sum c_i/u_i at sensitivity 1 (before completion).
+  /// Predicted trace term sum c_i/u_i at sensitivity 1 (before completion):
+  /// total-convention error = sqrt(P * predicted_objective).
   double predicted_objective = 0;
   double duality_gap = 0;
   int solver_iterations = 0;
-  std::size_t rank = 0;
+  std::size_t rank = 0;  // number of kept (nonzero) eigen-queries
+  /// Program-1 convergence diagnostics (method, phase switches, restarts,
+  /// optional gap trajectory when options.solver.record_trajectory is set).
   SolverReport solver_report;
 };
 
 /// Runs Program 2 for the workload through the engine the options select
-/// (kAuto applies the decision rule above). EngineSelection::kKron on a
-/// workload without Kronecker eigenstructure is InvalidArgument. The
-/// per-engine results are bit-identical to calling the corresponding
-/// EigenDesign*ForWorkload directly.
+/// (kAuto applies the decision rule above). The kron engine uses the
+/// factored Workload::ImplicitEigen; EngineSelection::kKron on a workload
+/// without Kronecker eigenstructure is InvalidArgument (a failed factor
+/// eigensolve reports its own error). The dense engine eigendecomposes
+/// W^T W numerically, except that explicit workloads with m queries over n
+/// cells and m << n take the Sec. 4.1 low-rank path: the nonzero spectrum
+/// comes from the m x m side in O(m^2 n) instead of O(n^3).
 Result<DesignResult> Design(const Workload& workload,
                             const DesignOptions& options = {});
 
-/// Steps 4-5 completion scales from the squared column norms of the
-/// weighted design: entry j is sqrt(max(col2) - col2[j]) where the deficit
-/// exceeds the shared threshold, 0 otherwise; an empty vector when no
-/// column is deficient. The single source of the completion rule for both
-/// the dense and the implicit assembly paths.
-linalg::Vector CompletionScales(const linalg::Vector& col2);
+/// Program 2 from a dense eigendecomposition of W^T W (e.g.
+/// linalg::SymmetricEigen of a Gram, MarginalsWorkload::AnalyticEigen, or
+/// one decomposition shared by several designs). The result is an explicit
+/// Strategy named "EigenDesign"; options.engine == kKron is
+/// InvalidArgument.
+Result<DesignResult> Design(const linalg::SymmetricEigenResult& eigen,
+                            const DesignOptions& options = {});
+
+/// Program 2 from a factored eigendecomposition (Workload::ImplicitEigen or
+/// linalg::FactorKronEigen): the spectrum is in natural Kronecker order,
+/// Program 1 runs against the implicit squared-eigenbasis constraint
+/// operator, and the result is a KronStrategy named "EigenDesign(Kron)" —
+/// no dense matrix anywhere, O(sum d_i^3 + iters * n sum d_i) in total.
+/// options.engine == kDense is InvalidArgument.
+Result<DesignResult> Design(const linalg::KronEigenResult& eigen,
+                            const DesignOptions& options = {});
 
 /// Builds the strategy diag(weights) * basis_rows(kept) with optional column
 /// completion — shared by the eigen-design and the Sec. 4 optimizations.

@@ -9,19 +9,14 @@ namespace optimize {
 
 Result<SeparationResult> EigenSeparationDesign(
     const linalg::SymmetricEigenResult& eigen, std::size_t group_size,
-    const EigenDesignOptions& options) {
+    const DesignOptions& options) {
   DPMM_CHECK_GT(group_size, 0u);
   const std::size_t n = eigen.values.size();
-  double max_ev = 0;
-  for (double v : eigen.values) max_ev = std::max(max_ev, v);
-  DPMM_CHECK_GT(max_ev, 0.0);
-
-  // Kept eigen-queries, ordered by descending eigenvalue so principal
-  // vectors share groups.
-  std::vector<std::size_t> kept;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (eigen.values[i] > options.rank_rel_tol * max_ev) kept.push_back(i);
-  }
+  // Kept eigen-queries (the shared Sec. 4.1 rule), ordered by descending
+  // eigenvalue so principal vectors share groups.
+  std::vector<std::size_t> kept =
+      KeptSpectrum(eigen.values, options.rank_rel_tol);
+  DPMM_CHECK_GT(kept.size(), 0u);
   std::sort(kept.begin(), kept.end(), [&](std::size_t a, std::size_t b) {
     return eigen.values[a] > eigen.values[b];
   });

@@ -20,7 +20,7 @@ struct SeparationResult {
 /// eigen-queries optimized jointly per group.
 Result<SeparationResult> EigenSeparationDesign(
     const linalg::SymmetricEigenResult& eigen, std::size_t group_size,
-    const EigenDesignOptions& options = {});
+    const DesignOptions& options = {});
 
 }  // namespace optimize
 }  // namespace dpmm

@@ -8,16 +8,12 @@ namespace optimize {
 
 Result<PrincipalVectorsResult> PrincipalVectorsDesign(
     const linalg::SymmetricEigenResult& eigen, std::size_t num_principal,
-    const EigenDesignOptions& options) {
+    const DesignOptions& options) {
   const std::size_t n = eigen.values.size();
-  double max_ev = 0;
-  for (double v : eigen.values) max_ev = std::max(max_ev, v);
-  DPMM_CHECK_GT(max_ev, 0.0);
-
-  std::vector<std::size_t> kept;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (eigen.values[i] > options.rank_rel_tol * max_ev) kept.push_back(i);
-  }
+  // Kept eigen-queries (the shared Sec. 4.1 rule), by descending eigenvalue.
+  std::vector<std::size_t> kept =
+      KeptSpectrum(eigen.values, options.rank_rel_tol);
+  DPMM_CHECK_GT(kept.size(), 0u);
   std::sort(kept.begin(), kept.end(), [&](std::size_t a, std::size_t b) {
     return eigen.values[a] > eigen.values[b];
   });

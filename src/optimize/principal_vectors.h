@@ -20,7 +20,7 @@ struct PrincipalVectorsResult {
 /// eigen-queries; the rest share one weight.
 Result<PrincipalVectorsResult> PrincipalVectorsDesign(
     const linalg::SymmetricEigenResult& eigen, std::size_t num_principal,
-    const EigenDesignOptions& options = {});
+    const DesignOptions& options = {});
 
 }  // namespace optimize
 }  // namespace dpmm

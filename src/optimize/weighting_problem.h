@@ -100,7 +100,8 @@ WeightingProblem MakeL2Problem(const linalg::Matrix& workload_gram,
                                const linalg::Matrix& basis);
 
 /// The Sec. 4.1 rank-reduction rule, shared by every eigen-design path
-/// (dense, sqrt-eigenvalue, Kronecker) so the threshold cannot drift:
+/// (dense, sqrt-eigenvalue, Kronecker, the Sec. 4.2 optimizations) so the
+/// threshold cannot drift:
 /// returns the indices with values[i] > rank_rel_tol * max(values), in
 /// order; `kept_values` (optional) receives the surviving values. Empty
 /// when the spectrum is entirely nonpositive.

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "serialize/artifact.h"
-#include "strategy/kron_strategy.h"
 
 namespace dpmm {
 namespace strategy_io {
@@ -24,15 +23,7 @@ Status SaveStrategy(const Strategy& strategy, const std::string& path) {
 Result<Strategy> LoadStrategy(const std::string& path) {
   auto artifact = serialize::LoadStrategyArtifact(path);
   if (!artifact.ok()) return artifact.status();
-  const auto& strategy = artifact.ValueOrDie().strategy;
-  if (const auto* dense = dynamic_cast<const Strategy*>(strategy.get())) {
-    return *dense;
-  }
-  if (const auto* kron = dynamic_cast<const KronStrategy*>(strategy.get())) {
-    return kron->Materialize();
-  }
-  return Status::IoError("strategy artifact has no loadable strategy: " +
-                         path);
+  return artifact.ValueOrDie().strategy->Materialize();
 }
 
 }  // namespace strategy_io

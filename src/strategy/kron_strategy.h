@@ -73,8 +73,7 @@ class KronStrategy : public LinearStrategy {
   /// L1 sensitivity = max column absolute sum.
   double L1Sensitivity() const override;
 
-  /// Dense equivalent (tests / small domains only).
-  Strategy Materialize() const;
+  Strategy Materialize() const override;
 
  protected:
   /// SolveNormal: without completion rows A^T A is diagonal in the

@@ -21,6 +21,8 @@
 
 namespace dpmm {
 
+class Strategy;
+
 /// Physical representation of a strategy — the dispatch tag for the
 /// artifact format (payload layout), the store, and CLI reporting.
 enum class StrategyEngine {
@@ -58,6 +60,10 @@ class LinearStrategy {
   virtual double L2Sensitivity() const = 0;
   /// L1 sensitivity ||A||_1 (max column absolute sum).
   virtual double L1Sensitivity() const = 0;
+
+  /// The explicit p x n matrix form (a copy for the dense engine; O(p n)
+  /// memory, so small domains only) — what standalone strategy files hold.
+  virtual Strategy Materialize() const = 0;
 
   // The normal-equation solves behind least-squares inference and the
   // per-query error roots sqrt(w_q (A^T A)^+ w_q^T). Non-virtual entry

@@ -38,6 +38,8 @@ class Strategy : public LinearStrategy {
   /// L1 sensitivity ||A||_1 (max column absolute sum).
   double L1Sensitivity() const override { return a_.MaxColAbsSum(); }
 
+  Strategy Materialize() const override { return *this; }
+
   /// Gram matrix A^T A.
   linalg::Matrix Gram() const;
 

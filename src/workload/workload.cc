@@ -34,8 +34,8 @@ std::optional<linalg::KronEigenResult> Workload::ImplicitEigenImpl(
   if (!kron.has_value()) return std::nullopt;
   auto eig = linalg::FactorKronEigen(*kron);
   // nullopt covers both "no Kronecker structure" and the (pathological)
-  // factor-eigensolve failure; EigenDesignKronForWorkload re-runs the
-  // factored eigensolve to surface the latter as a real Status.
+  // factor-eigensolve failure; optimize::Design re-runs the factored
+  // eigensolve to surface the latter as a real Status.
   if (!eig.ok()) return std::nullopt;
   return std::move(eig).ValueOrDie();
 }

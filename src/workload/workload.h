@@ -83,7 +83,7 @@ class Workload {
   /// from KronGramFactors() by default in O(sum d_i^3); MarginalsWorkload
   /// overrides it with the analytic Helmert-basis form. nullopt when the
   /// workload has no Kronecker eigenstructure (or, pathologically, a factor
-  /// eigensolve fails — EigenDesignKronForWorkload distinguishes the two).
+  /// eigensolve fails — optimize::Design distinguishes the two).
   std::optional<linalg::KronEigenResult> ImplicitEigen(
       bool normalized = false) const {
     return ImplicitEigenImpl(normalized);

@@ -56,22 +56,6 @@ Vector RandomData(std::size_t n, std::uint64_t seed) {
 
 // ---- Engine decision rule
 
-TEST(Design, AutoPicksKronForStructuredWorkloads) {
-  AllRangeWorkload w(Domain({4, 4}));
-  auto design = Design(w);
-  ASSERT_TRUE(design.ok()) << design.status().ToString();
-  EXPECT_EQ(design.ValueOrDie().engine, StrategyEngine::kKron);
-  EXPECT_EQ(design.ValueOrDie().strategy->engine(), StrategyEngine::kKron);
-}
-
-TEST(Design, AutoFallsBackToDenseForExplicitWorkloads) {
-  ExplicitWorkload w = Fig1Workload();
-  auto design = Design(w);
-  ASSERT_TRUE(design.ok()) << design.status().ToString();
-  EXPECT_EQ(design.ValueOrDie().engine, StrategyEngine::kDense);
-  EXPECT_EQ(design.ValueOrDie().strategy->engine(), StrategyEngine::kDense);
-}
-
 TEST(Design, EngineOverridesAreHonoredAndValidated) {
   AllRangeWorkload structured(Domain({4, 4}));
   DesignOptions dense_options;
@@ -86,6 +70,85 @@ TEST(Design, EngineOverridesAreHonoredAndValidated) {
   auto impossible = Design(unstructured, kron_options);
   ASSERT_FALSE(impossible.ok());
   EXPECT_EQ(impossible.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Two designs are the same when their certificates and their explicit
+// strategy matrices match bit for bit.
+void ExpectSameDesign(const optimize::DesignResult& a,
+                      const optimize::DesignResult& b) {
+  EXPECT_EQ(a.engine, b.engine);
+  EXPECT_EQ(a.strategy->engine(), a.engine);
+  EXPECT_EQ(a.rank, b.rank);
+  EXPECT_EQ(a.predicted_objective, b.predicted_objective);
+  EXPECT_EQ(a.duality_gap, b.duality_gap);
+  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+  EXPECT_TRUE(a.strategy->Materialize().matrix() ==
+              b.strategy->Materialize().matrix());
+}
+
+// Auto picks kron for structured workloads and dense for explicit ones, and
+// either way Design(w) is Design of the workload's own eigendecomposition.
+TEST(Design, WorkloadOverloadMatchesTheSpectrumOverloads) {
+  AllRangeWorkload structured(Domain({4, 5}));
+  auto via_workload = Design(structured);
+  auto via_spectrum = Design(*structured.ImplicitEigen());
+  ASSERT_TRUE(via_workload.ok());
+  ASSERT_TRUE(via_spectrum.ok());
+  EXPECT_EQ(via_workload.ValueOrDie().engine, StrategyEngine::kKron);
+  ExpectSameDesign(via_workload.ValueOrDie(), via_spectrum.ValueOrDie());
+
+  ExplicitWorkload fig1 = Fig1Workload();
+  auto dense = Design(fig1);
+  auto dense_spectrum =
+      Design(linalg::SymmetricEigen(fig1.Gram()).ValueOrDie());
+  ASSERT_TRUE(dense.ok());
+  ASSERT_TRUE(dense_spectrum.ok());
+  EXPECT_EQ(dense.ValueOrDie().engine, StrategyEngine::kDense);
+  ExpectSameDesign(dense.ValueOrDie(), dense_spectrum.ValueOrDie());
+}
+
+TEST(Design, SpectrumOverloadsRejectTheOtherEngine) {
+  AllRangeWorkload w(Domain({3, 4}));
+  const auto kron_eigen = *w.ImplicitEigen();
+  const auto dense_eigen = linalg::SymmetricEigen(w.Gram()).ValueOrDie();
+  DesignOptions dense, kron;
+  dense.engine = EngineSelection::kDense;
+  kron.engine = EngineSelection::kKron;
+  EXPECT_EQ(Design(kron_eigen, dense).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Design(dense_eigen, kron).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Design(dense_eigen, dense).ok());
+  EXPECT_TRUE(Design(kron_eigen, kron).ok());
+}
+
+// Column j of the materialized matrix is A e_j, on either engine.
+void ExpectMaterializeMatchesApply(const LinearStrategy& a) {
+  const Strategy dense = a.Materialize();
+  const linalg::Matrix& m = dense.matrix();
+  ASSERT_EQ(m.rows(), a.num_queries());
+  ASSERT_EQ(m.cols(), a.num_cells());
+  EXPECT_EQ(dense.name(), a.name());
+  for (std::size_t j = 0; j < a.num_cells(); ++j) {
+    Vector unit(a.num_cells(), 0.0);
+    unit[j] = 1.0;
+    const Vector column = a.Apply(unit);
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      EXPECT_NEAR(m(i, j), column[i], 1e-12) << "entry " << i << "," << j;
+    }
+  }
+}
+
+TEST(Design, MaterializeMatchesApplyOnBothEngines) {
+  auto kron = Design(AllRangeWorkload(Domain({3, 4})));
+  ASSERT_TRUE(kron.ok());
+  ASSERT_EQ(kron.ValueOrDie().engine, StrategyEngine::kKron);
+  ExpectMaterializeMatchesApply(*kron.ValueOrDie().strategy);
+
+  auto dense = Design(Fig1Workload());
+  ASSERT_TRUE(dense.ok());
+  ASSERT_EQ(dense.ValueOrDie().engine, StrategyEngine::kDense);
+  ExpectMaterializeMatchesApply(*dense.ValueOrDie().strategy);
 }
 
 TEST(Design, ParseEngineSelectionIsStrict) {
@@ -190,20 +253,6 @@ TEST(Mechanism, KronReleaseByteIdenticalToProp3Reference) {
   }
   EXPECT_EQ(reference, m.ReleaseBatch(x, 3, &batch_rng));
   EXPECT_EQ(ref_batch_rng.NextU64(), batch_rng.NextU64());
-}
-
-TEST(Mechanism, DesignMechanismAttachesTheCertificate) {
-  AllRangeWorkload w(Domain({4, 4}));
-  auto design = Design(w);
-  ASSERT_TRUE(design.ok());
-  auto mech = DesignMechanism(w, PrivacyParams{0.5, 1e-4});
-  ASSERT_TRUE(mech.ok()) << mech.status().ToString();
-  EXPECT_EQ(mech.ValueOrDie().engine(), StrategyEngine::kKron);
-  EXPECT_EQ(mech.ValueOrDie().duality_gap(),
-            design.ValueOrDie().duality_gap);
-  EXPECT_EQ(mech.ValueOrDie().rank(), design.ValueOrDie().rank);
-  EXPECT_EQ(mech.ValueOrDie().solver_report().iterations,
-            design.ValueOrDie().solver_report.iterations);
 }
 
 TEST(Mechanism, PrepareRejectsNullStrategy) {

@@ -101,7 +101,9 @@ TEST_P(BoundDominance, EveryStrategyErrorIsAboveBound) {
   strategies.push_back(WaveletStrategy(wd));
   strategies.push_back(HierarchicalStrategy(wd));
   strategies.push_back(
-      optimize::EigenDesign(gram).ValueOrDie().strategy);
+      optimize::Design(linalg::SymmetricEigen(gram).ValueOrDie())
+          .ValueOrDie()
+          .strategy->Materialize());
   for (const auto& s : strategies) {
     const double err = StrategyError(gram, w->num_queries(), s, opts);
     EXPECT_GE(err, bound * (1.0 - 1e-4))

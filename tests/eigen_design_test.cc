@@ -24,6 +24,19 @@
 namespace dpmm {
 namespace {
 
+// Program 2 on a dense eigendecomposition, as the explicit strategy.
+Strategy DesignStrategy(const linalg::SymmetricEigenResult& eig,
+                        const optimize::DesignOptions& options = {}) {
+  return optimize::Design(eig, options).ValueOrDie().strategy->Materialize();
+}
+
+// The dense engine's design of a workload.
+optimize::DesignResult DenseDesign(const Workload& w,
+                                   optimize::DesignOptions options = {}) {
+  options.engine = optimize::EngineSelection::kDense;
+  return optimize::Design(w, options).ValueOrDie();
+}
+
 ErrorOptions Opts() {
   ErrorOptions o;
   o.privacy = {0.5, 1e-4};
@@ -99,9 +112,10 @@ TEST_P(DesignScenarios, BeatsOrMatchesEveryCompetitor) {
   Scenario sc = MakeScenario(GetParam());
   ErrorOptions opts = Opts();
   const linalg::Matrix gram = sc.workload->Gram();
-  auto design = optimize::EigenDesign(gram).ValueOrDie();
+  const Strategy design =
+      DesignStrategy(linalg::SymmetricEigen(gram).ValueOrDie());
   const double eigen_err =
-      StrategyError(gram, sc.workload->num_queries(), design.strategy, opts);
+      StrategyError(gram, sc.workload->num_queries(), design, opts);
   for (const auto& comp : sc.competitors) {
     const double comp_err =
         StrategyError(gram, sc.workload->num_queries(), comp, opts);
@@ -119,9 +133,9 @@ TEST_P(DesignScenarios, ApproximationRatioWithinTheorem3) {
   ErrorOptions opts = Opts();
   const linalg::Matrix gram = sc.workload->Gram();
   auto eig = linalg::SymmetricEigen(gram).ValueOrDie();
-  auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+  const Strategy design = DesignStrategy(eig);
   const double eigen_err =
-      StrategyError(gram, sc.workload->num_queries(), design.strategy, opts);
+      StrategyError(gram, sc.workload->num_queries(), design, opts);
   const double bound =
       SvdErrorLowerBound(eig.values, sc.workload->num_queries(), opts);
   // Thm. 3: ratio <= (n * sigma_1 / svdb)^{1/4}.
@@ -138,8 +152,8 @@ TEST_P(DesignScenarios, ApproximationRatioWithinTheorem3) {
 TEST_P(DesignScenarios, BeatsWorkloadAsStrategy) {
   Scenario sc = MakeScenario(GetParam());
   ErrorOptions opts = Opts();
-  auto design = optimize::EigenDesignForWorkload(*sc.workload).ValueOrDie();
-  const double eigen_err = StrategyError(*sc.workload, design.strategy, opts);
+  const Strategy design = DenseDesign(*sc.workload).strategy->Materialize();
+  const double eigen_err = StrategyError(*sc.workload, design, opts);
   EXPECT_LE(eigen_err, GaussianBaselineError(*sc.workload, opts) * 1.005)
       << sc.name;
 }
@@ -150,17 +164,16 @@ INSTANTIATE_TEST_SUITE_P(Workloads, DesignScenarios,
 TEST(EigenDesign, SensitivityNormalizedToOne) {
   Domain dom({24});
   AllRangeWorkload w(dom);
-  auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
-  EXPECT_NEAR(design.strategy.L2Sensitivity(), 1.0, 1e-6);
+  EXPECT_NEAR(DenseDesign(w).strategy->L2Sensitivity(), 1.0, 1e-6);
 }
 
 TEST(EigenDesign, CompletedStrategyHasFullRankAndEqualColumns) {
   // Rank-deficient workload: completion must equalize column norms and the
   // strategy must still answer the workload exactly.
   auto w = ExplicitWorkload::FromMatrix(builders::Fig1Matrix(), "Fig1");
-  auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
+  const optimize::DesignResult design = DenseDesign(w);
   EXPECT_EQ(design.rank, 4u);
-  const linalg::Matrix& a = design.strategy.matrix();
+  const linalg::Matrix a = design.strategy->Materialize().matrix();
   // The workload must lie inside the strategy's row space (full rank is not
   // guaranteed for rank-deficient workloads; see Fig. 2 of the paper).
   EXPECT_LT(linalg::RowSpaceResidual(builders::Fig1Matrix(), a), 1e-7);
@@ -173,24 +186,23 @@ TEST(EigenDesign, CompletedStrategyHasFullRankAndEqualColumns) {
 TEST(EigenDesign, CompletionOnlyReducesError) {
   auto w = ExplicitWorkload::FromMatrix(builders::Fig1Matrix(), "Fig1");
   ErrorOptions opts = Opts();
-  optimize::EigenDesignOptions with;
-  optimize::EigenDesignOptions without;
+  optimize::DesignOptions without;
   without.complete_columns = false;
-  auto d_with = optimize::EigenDesignForWorkload(w, with).ValueOrDie();
-  auto d_without = optimize::EigenDesignForWorkload(w, without).ValueOrDie();
-  EXPECT_LE(StrategyError(w, d_with.strategy, opts),
-            StrategyError(w, d_without.strategy, opts) + 1e-9);
+  const Strategy d_with = DenseDesign(w).strategy->Materialize();
+  const Strategy d_without = DenseDesign(w, without).strategy->Materialize();
+  EXPECT_LE(StrategyError(w, d_with, opts),
+            StrategyError(w, d_without, opts) + 1e-9);
 }
 
 TEST(EigenDesign, AnalyticEigenPathMatchesNumeric) {
   Domain dom({4, 4, 2});
   MarginalsWorkload w = MarginalsWorkload::AllKWay(dom, 2);
   ErrorOptions opts = Opts();
-  auto numeric = optimize::EigenDesign(w.Gram()).ValueOrDie();
-  auto analytic =
-      optimize::EigenDesignFromEigen(w.AnalyticEigen()).ValueOrDie();
-  EXPECT_NEAR(StrategyError(w, numeric.strategy, opts),
-              StrategyError(w, analytic.strategy, opts), 1e-4);
+  const Strategy numeric =
+      DesignStrategy(linalg::SymmetricEigen(w.Gram()).ValueOrDie());
+  const Strategy analytic = DesignStrategy(w.AnalyticEigen());
+  EXPECT_NEAR(StrategyError(w, numeric, opts),
+              StrategyError(w, analytic, opts), 1e-4);
 }
 
 TEST(EigenDesign, PredictedObjectiveMatchesMeasuredError) {
@@ -198,39 +210,41 @@ TEST(EigenDesign, PredictedObjectiveMatchesMeasuredError) {
   // completion: error = sqrt(P * objective) under the total convention.
   Domain dom({16});
   AllRangeWorkload w(dom);
-  optimize::EigenDesignOptions dopts;
+  optimize::DesignOptions dopts;
   dopts.complete_columns = false;
-  auto design = optimize::EigenDesignForWorkload(w, dopts).ValueOrDie();
+  const optimize::DesignResult design = DenseDesign(w, dopts);
   ErrorOptions opts = Opts();
   opts.convention = ErrorConvention::kTotal;
   const double predicted =
       std::sqrt(PFactor(opts) * design.predicted_objective);
-  const double measured = StrategyError(w, design.strategy, opts);
+  const double measured =
+      StrategyError(w, design.strategy->Materialize(), opts);
   EXPECT_NEAR(measured, predicted, 1e-3 * predicted);
 }
 
 TEST(EigenDesign, DualityGapCertificate) {
   Domain dom({48});
   AllRangeWorkload w(dom);
-  optimize::EigenDesignOptions dopts;
+  optimize::DesignOptions dopts;
   dopts.solver.max_iterations = 20000;  // allow full convergence
   dopts.solver.relative_gap_tol = 1e-7;
-  auto design = optimize::EigenDesignForWorkload(w, dopts).ValueOrDie();
-  EXPECT_LT(design.duality_gap, 1e-4);
+  EXPECT_LT(DenseDesign(w, dopts).duality_gap, 1e-4);
 }
 
 TEST(EigenDesign, LowRankPathMatchesDensePath) {
   // A small explicit workload over many cells: the low-rank route of
-  // EigenDesignForWorkload must agree with the dense-gram route.
+  // Design(workload) must agree with the dense-gram route.
   Domain dom({64});
   Rng rng(77);
   auto w = builders::RandomRangeWorkload(dom, 12, &rng);
   ErrorOptions opts = Opts();
-  auto via_workload = optimize::EigenDesignForWorkload(w).ValueOrDie();
-  auto via_gram = optimize::EigenDesign(w.Gram()).ValueOrDie();
+  const optimize::DesignResult via_workload = DenseDesign(w);
+  const optimize::DesignResult via_gram =
+      optimize::Design(linalg::SymmetricEigen(w.Gram()).ValueOrDie())
+          .ValueOrDie();
   EXPECT_EQ(via_workload.rank, via_gram.rank);
-  EXPECT_NEAR(StrategyError(w, via_workload.strategy, opts),
-              StrategyError(w, via_gram.strategy, opts), 5e-3);
+  EXPECT_NEAR(StrategyError(w, via_workload.strategy->Materialize(), opts),
+              StrategyError(w, via_gram.strategy->Materialize(), opts), 5e-3);
 }
 
 TEST(EigenDesign, SqrtEigenvalueStrategyBracketsOptimal) {
@@ -245,11 +259,10 @@ TEST(EigenDesign, SqrtEigenvalueStrategyBracketsOptimal) {
   // there (completion then improves both by unmodeled amounts).
   Strategy al = optimize::SqrtEigenvalueStrategy(eig, 1e-10,
                                                  /*complete_columns=*/false);
-  optimize::EigenDesignOptions dopts;
+  optimize::DesignOptions dopts;
   dopts.complete_columns = false;
-  auto design = optimize::EigenDesignFromEigen(eig, dopts).ValueOrDie();
   const double e_al = StrategyError(w, al, opts);
-  const double e_opt = StrategyError(w, design.strategy, opts);
+  const double e_opt = StrategyError(w, DesignStrategy(eig, dopts), opts);
   const double bound = SvdErrorLowerBound(eig.values, w.num_queries(), opts);
   EXPECT_LE(e_opt, e_al * (1 + 1e-6));
   EXPECT_GE(e_al, bound * (1 - 1e-9));
@@ -262,15 +275,19 @@ TEST(EigenDesign, WeightsMonotoneInEigenvalueForRanges) {
   Domain dom({32});
   AllRangeWorkload w(dom);
   auto eig = linalg::SymmetricEigen(w.Gram()).ValueOrDie();
-  auto design = optimize::EigenDesignFromEigen(eig).ValueOrDie();
-  // kept is in ascending-eigenvalue order for the full-rank case.
-  double max_weight_so_far = 0;
-  for (std::size_t i = 0; i < design.weights.size(); ++i) {
-    max_weight_so_far = std::max(max_weight_so_far, design.weights[i]);
+  const optimize::DesignResult design = optimize::Design(eig).ValueOrDie();
+  // Full rank: every eigen-query is kept, in the ascending-eigenvalue order
+  // of the decomposition, and row i of the strategy is weight_i times a
+  // unit eigenvector (the completion rows follow the kept ones).
+  ASSERT_EQ(design.rank, eig.values.size());
+  const linalg::Matrix a = design.strategy->Materialize().matrix();
+  double max_weight = 0;
+  for (std::size_t i = 0; i < design.rank; ++i) {
+    max_weight = std::max(max_weight, linalg::Norm2(a.Row(i)));
   }
   // The largest-eigenvalue query carries the largest weight.
-  EXPECT_NEAR(design.weights.back(), max_weight_so_far,
-              0.25 * max_weight_so_far);
+  EXPECT_NEAR(linalg::Norm2(a.Row(design.rank - 1)), max_weight,
+              0.25 * max_weight);
 }
 
 }  // namespace

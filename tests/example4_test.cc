@@ -49,8 +49,9 @@ TEST_F(Example4, LowerBound) {
 }
 
 TEST_F(Example4, AdaptiveStrategyError) {
-  auto design = optimize::EigenDesignForWorkload(workload_).ValueOrDie();
-  const double err = StrategyError(workload_, design.strategy, opts_);
+  auto design = optimize::Design(workload_).ValueOrDie();
+  const double err =
+      StrategyError(workload_, design.strategy->Materialize(), opts_);
   // The paper's solver reached 29.79; ours must do at least as well while
   // staying above the bound.
   EXPECT_LE(err, 29.85);

@@ -21,10 +21,9 @@
 namespace dpmm {
 namespace {
 
-Mechanism Prepared(Strategy strategy, PrivacyParams privacy) {
-  return Mechanism::Prepare(std::make_shared<Strategy>(std::move(strategy)),
-                            privacy)
-      .ValueOrDie();
+Mechanism Prepared(std::shared_ptr<const LinearStrategy> strategy,
+                   PrivacyParams privacy) {
+  return Mechanism::Prepare(std::move(strategy), privacy).ValueOrDie();
 }
 
 TEST(Integration, FullPipelineOnZipfData) {
@@ -32,7 +31,7 @@ TEST(Integration, FullPipelineOnZipfData) {
   AllRangeWorkload w(dom);
   DataVector data = data::GenZipf(dom, 1e6, 1.1, 3);
 
-  auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
+  auto design = optimize::Design(w).ValueOrDie();
   PrivacyParams privacy{1.0, 1e-4};
   auto mech = Prepared(design.strategy, privacy);
 
@@ -60,8 +59,10 @@ TEST(Integration, RelativeErrorDesignBeatsAbsoluteDesignOnRelativeMetric) {
   DataVector data = data::GenZipf(dom, 1e6, 1.0, 7);
   PrivacyParams privacy{0.5, 1e-4};
 
-  auto abs_design = optimize::EigenDesign(w.Gram()).ValueOrDie();
-  auto rel_design = optimize::EigenDesign(w.NormalizedGram()).ValueOrDie();
+  auto abs_design = optimize::Design(w).ValueOrDie();
+  auto rel_design =
+      optimize::Design(linalg::SymmetricEigen(w.NormalizedGram()).ValueOrDie())
+          .ValueOrDie();
   auto abs_mech = Prepared(abs_design.strategy, privacy);
   auto rel_mech = Prepared(rel_design.strategy, privacy);
 
@@ -85,8 +86,9 @@ TEST(Integration, AdHocStackedWorkloadPipeline) {
 
   ErrorOptions opts;
   opts.privacy = {0.5, 1e-4};
-  auto design = optimize::EigenDesignForWorkload(combined).ValueOrDie();
-  const double eigen_err = StrategyError(combined, design.strategy, opts);
+  auto design = optimize::Design(combined).ValueOrDie();
+  const double eigen_err =
+      StrategyError(combined, design.strategy->Materialize(), opts);
   const double wavelet_err =
       StrategyError(combined, WaveletStrategy(dom), opts);
   EXPECT_LT(eigen_err, wavelet_err);
@@ -104,7 +106,7 @@ TEST(Integration, AdHocStackedWorkloadPipeline) {
 TEST(Integration, MarginalPipelineOnAdultLikeData) {
   DataVector adult = data::GenAdultLike();
   MarginalsWorkload w = MarginalsWorkload::AllKWay(adult.domain, 2);
-  auto design = optimize::EigenDesignFromEigen(w.AnalyticEigen()).ValueOrDie();
+  auto design = optimize::Design(w.AnalyticEigen()).ValueOrDie();
   PrivacyParams privacy{1.0, 1e-4};
   auto mech = Prepared(design.strategy, privacy);
   RelativeErrorOptions ropts;
@@ -123,7 +125,7 @@ TEST(Integration, PersistedHistogramRoundTripsThroughMechanism) {
   DataVector loaded = data::LoadCsv(path).ValueOrDie();
 
   MarginalsWorkload w = MarginalsWorkload::AllKWay(dom, 1);
-  auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
+  auto design = optimize::Design(w).ValueOrDie();
   auto mech = Prepared(design.strategy, {0.5, 1e-4});
   Rng rng(13);
   linalg::Vector a1 = mech.Run(w, data.counts, &rng);
@@ -136,7 +138,7 @@ TEST(Integration, PersistedHistogramRoundTripsThroughMechanism) {
 TEST(Integration, EndToEndDeterminismForSeed) {
   Domain dom({32});
   AllRangeWorkload w(dom);
-  auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
+  auto design = optimize::Design(w).ValueOrDie();
   auto mech = Prepared(design.strategy, {0.5, 1e-4});
   DataVector data = data::GenZipf(dom, 1e4, 1.0, 2);
   Rng r1(99), r2(99);

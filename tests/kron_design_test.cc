@@ -41,6 +41,20 @@ double MaxAbsDiff(const Vector& a, const Vector& b) {
   return mx;
 }
 
+const KronStrategy& AsKron(const optimize::DesignResult& design) {
+  return dynamic_cast<const KronStrategy&>(*design.strategy);
+}
+
+// The kron engine's design of a structured workload, as the implicit
+// strategy.
+KronStrategy KronDesign(const Workload& w,
+                        optimize::DesignOptions options = {}) {
+  options.engine = optimize::EngineSelection::kKron;
+  auto design = optimize::Design(w, options);
+  EXPECT_TRUE(design.ok()) << design.status().ToString();
+  return AsKron(design.ValueOrDie());
+}
+
 ErrorOptions TestErrorOptions() {
   ErrorOptions opts;
   opts.privacy = {0.5, 1e-4};
@@ -142,9 +156,7 @@ TEST(MarginalsImplicitEigen, AnalyticHelmertSpectrumIsExact) {
 
 TEST(KronStrategy, MaterializedFormMatchesImplicitOperations) {
   AllRangeWorkload w(Domain({6, 5}));
-  auto design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(design.ok());
-  const KronStrategy& a = design.ValueOrDie().strategy;
+  const KronStrategy a = KronDesign(w);
   const Strategy dense = a.Materialize();
   const Matrix& am = dense.matrix();
 
@@ -167,9 +179,7 @@ TEST(KronStrategy, MaterializedFormMatchesImplicitOperations) {
 
 TEST(KronStrategy, SolveNormalMatchesCholeskyWithCompletion) {
   AllRangeWorkload w(Domain({5, 4}));
-  auto design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(design.ok());
-  const KronStrategy& a = design.ValueOrDie().strategy;
+  const KronStrategy a = KronDesign(w);
   ASSERT_TRUE(a.has_completion());
 
   const Matrix gram = a.Materialize().Gram();
@@ -187,9 +197,7 @@ TEST(KronStrategy, SolveNormalBatchBitIdenticalOnPcgBranch) {
   // sequential solve exactly — same iterates, same stopping decisions —
   // so equality here is bitwise, not approximate.
   AllRangeWorkload w(Domain({5, 4}));
-  auto design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(design.ok());
-  const KronStrategy& a = design.ValueOrDie().strategy;
+  const KronStrategy a = KronDesign(w);
   ASSERT_TRUE(a.has_completion());
 
   Rng rng(31);
@@ -211,9 +219,7 @@ TEST(KronStrategy, SolveNormalBatchCompactionSurvivesUnevenRhs) {
   // must still be *bitwise* equal to the sequential solves, proving the
   // retirement compaction never touches surviving columns' arithmetic.
   AllRangeWorkload w(Domain({5, 4}));
-  auto design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(design.ok());
-  const KronStrategy& a = design.ValueOrDie().strategy;
+  const KronStrategy a = KronDesign(w);
   ASSERT_TRUE(a.has_completion());
 
   Rng rng(43);
@@ -242,11 +248,9 @@ TEST(KronStrategy, SolveNormalBatchBitIdenticalOnDiagonalBranch) {
   // No completion rows: the solve is diagonal in the eigenbasis; the
   // batched passes must still match bitwise.
   AllRangeWorkload w(Domain({4, 3, 3}));
-  optimize::EigenDesignOptions options;
+  optimize::DesignOptions options;
   options.complete_columns = false;
-  auto design = optimize::EigenDesignKronForWorkload(w, options);
-  ASSERT_TRUE(design.ok());
-  const KronStrategy& a = design.ValueOrDie().strategy;
+  const KronStrategy a = KronDesign(w, options);
   ASSERT_FALSE(a.has_completion());
 
   Rng rng(37);
@@ -260,9 +264,7 @@ TEST(KronStrategy, SolveNormalBatchBitIdenticalOnDiagonalBranch) {
 
 TEST(KronStrategy, ApplyTBatchBitIdenticalToApplyT) {
   AllRangeWorkload w(Domain({5, 4}));
-  auto design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(design.ok());
-  const KronStrategy& a = design.ValueOrDie().strategy;
+  const KronStrategy a = KronDesign(w);
 
   Rng rng(41);
   std::vector<Vector> ys;
@@ -281,8 +283,8 @@ TEST(KronStrategy, ApplyTBatchBitIdenticalToApplyT) {
 // and the implicit pipeline the *same* eigendecomposition and require the
 // optimizer outputs to agree to within the (tightened) duality-gap budget,
 // while everything downstream of a fixed strategy agrees to 1e-8.
-optimize::EigenDesignOptions TightOptions() {
-  optimize::EigenDesignOptions options;
+optimize::DesignOptions TightOptions() {
+  optimize::DesignOptions options;
   options.solver.relative_gap_tol = 1e-9;
   options.solver.max_iterations = 50000;
   return options;
@@ -292,13 +294,13 @@ linalg::SymmetricEigenResult DenseFromKron(const linalg::KronEigenResult& k) {
   return {k.values, k.basis.Dense()};
 }
 
-TEST(EigenDesignKron, AgreesWithDensePathOn2DAllRange) {
+TEST(KronEngineDesign, AgreesWithDensePathOn2DAllRange) {
   AllRangeWorkload w(Domain({8, 8}));
-  const optimize::EigenDesignOptions options = TightOptions();
+  const optimize::DesignOptions options = TightOptions();
   const auto keig = *w.ImplicitEigen();
 
-  auto dense = optimize::EigenDesignFromEigen(DenseFromKron(keig), options);
-  auto kron = optimize::EigenDesignFromKronEigen(keig, options);
+  auto dense = optimize::Design(DenseFromKron(keig), options);
+  auto kron = optimize::Design(keig, options);
   ASSERT_TRUE(dense.ok());
   ASSERT_TRUE(kron.ok());
   const auto& d = dense.ValueOrDie();
@@ -309,57 +311,57 @@ TEST(EigenDesignKron, AgreesWithDensePathOn2DAllRange) {
               1e-6 * d.predicted_objective);
 
   const ErrorOptions opts = TestErrorOptions();
-  const double err_dense = StrategyError(w, d.strategy, opts);
+  const double err_dense = StrategyError(w, d.strategy->Materialize(), opts);
   // Implicit error via the shared-eigenbasis trace (CG branch: the design
   // carries completion rows).
   const double err_kron =
-      StrategyError(k.eigenvalues, w.num_queries(), k.strategy, opts);
+      StrategyError(keig.values, w.num_queries(), AsKron(k), opts);
   EXPECT_NEAR(err_dense, err_kron, 1e-6 * err_dense);
 
   // Downstream of the fixed strategy the two error formulas must agree to
   // 1e-8: the materialized implicit strategy under the dense Prop. 4 trace
   // versus the shared-eigenbasis trace.
   const double err_via_dense =
-      StrategyError(w.Gram(), w.num_queries(), k.strategy.Materialize(), opts);
+      StrategyError(w.Gram(), w.num_queries(), k.strategy->Materialize(), opts);
   EXPECT_NEAR(err_kron, err_via_dense, 1e-8 * err_kron);
 }
 
-TEST(EigenDesignKron, AgreesWithDensePathOn3DAllRangeNoCompletion) {
+TEST(KronEngineDesign, AgreesWithDensePathOn3DAllRangeNoCompletion) {
   AllRangeWorkload w(Domain({4, 3, 3}));
-  optimize::EigenDesignOptions options = TightOptions();
+  optimize::DesignOptions options = TightOptions();
   options.complete_columns = false;
   const auto keig = *w.ImplicitEigen();
 
-  auto dense = optimize::EigenDesignFromEigen(DenseFromKron(keig), options);
-  auto kron = optimize::EigenDesignFromKronEigen(keig, options);
+  auto dense = optimize::Design(DenseFromKron(keig), options);
+  auto kron = optimize::Design(keig, options);
   ASSERT_TRUE(dense.ok());
   ASSERT_TRUE(kron.ok());
   const auto& d = dense.ValueOrDie();
   const auto& k = kron.ValueOrDie();
-  EXPECT_FALSE(k.strategy.has_completion());
+  EXPECT_FALSE(AsKron(k).has_completion());
 
   const ErrorOptions opts = TestErrorOptions();
-  const double err_dense = StrategyError(w, d.strategy, opts);
+  const double err_dense = StrategyError(w, d.strategy->Materialize(), opts);
   const double err_kron =
-      StrategyError(k.eigenvalues, w.num_queries(), k.strategy, opts);
+      StrategyError(keig.values, w.num_queries(), AsKron(k), opts);
   EXPECT_NEAR(err_dense, err_kron, 1e-6 * err_dense);
 
   // Same fixed strategy, both trace formulas: 1e-8.
   const double err_via_dense =
-      StrategyError(w.Gram(), w.num_queries(), k.strategy.Materialize(), opts);
+      StrategyError(w.Gram(), w.num_queries(), k.strategy->Materialize(), opts);
   EXPECT_NEAR(err_kron, err_via_dense, 1e-8 * err_kron);
 }
 
-TEST(EigenDesignKron, AgreesWithAnalyticEigenPathOnMarginals) {
+TEST(KronEngineDesign, AgreesWithAnalyticEigenPathOnMarginals) {
   // The 2-way marginal Gram is rank deficient (cells with every Helmert
   // index nonzero have eigenvalue 0), which exercises the truncated path.
   MarginalsWorkload w = MarginalsWorkload::AllKWay(Domain({3, 4, 2}), 2);
-  optimize::EigenDesignOptions options = TightOptions();
+  optimize::DesignOptions options = TightOptions();
   options.complete_columns = false;
   const auto keig = *w.ImplicitEigen();
 
-  auto dense = optimize::EigenDesignFromEigen(DenseFromKron(keig), options);
-  auto kron = optimize::EigenDesignFromKronEigen(keig, options);
+  auto dense = optimize::Design(DenseFromKron(keig), options);
+  auto kron = optimize::Design(keig, options);
   ASSERT_TRUE(dense.ok());
   ASSERT_TRUE(kron.ok());
   const auto& d = dense.ValueOrDie();
@@ -372,17 +374,21 @@ TEST(EigenDesignKron, AgreesWithAnalyticEigenPathOnMarginals) {
 
   const ErrorOptions opts = TestErrorOptions();
   const double err_kron =
-      StrategyError(k.eigenvalues, w.num_queries(), k.strategy, opts);
+      StrategyError(keig.values, w.num_queries(), AsKron(k), opts);
 
-  // Exact dense reference: the dense design's kept spectrum and weights
-  // under the shared trace formula sum g_i / u_i (no regularization). The
-  // two solver runs agree to within the tightened duality-gap budget.
+  // Exact dense reference: the dense design's weights under the shared
+  // trace formula sum g_i / u_i (no regularization). Both designs ran on one
+  // eigendecomposition, so they keep the same eigen-queries; row i of the
+  // dense strategy is weight_i times the unit eigenvector kept()[i]. The two
+  // solver runs agree to within the tightened duality-gap budget.
+  const std::vector<std::size_t>& kept = AsKron(k).kept();
+  const Matrix a = d.strategy->Materialize().matrix();
   double tr_dense = 0;
-  for (std::size_t i = 0; i < d.kept.size(); ++i) {
-    const double u = d.weights[i] * d.weights[i];
-    tr_dense += d.eigenvalues[d.kept[i]] / u;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const Vector row = a.Row(i);
+    tr_dense += keig.values[kept[i]] / linalg::Dot(row, row);
   }
-  const double err_dense = ErrorFromTrace(d.strategy.L2Sensitivity(),
+  const double err_dense = ErrorFromTrace(d.strategy->L2Sensitivity(),
                                           tr_dense, w.num_queries(), opts);
   EXPECT_NEAR(err_dense, err_kron, 1e-6 * err_dense);
 
@@ -393,7 +399,7 @@ TEST(EigenDesignKron, AgreesWithAnalyticEigenPathOnMarginals) {
   // the PSD-only path) removed that floor, so the dense reference now
   // agrees with the exact implicit trace to rounding.
   const double err_via_dense =
-      StrategyError(w.Gram(), w.num_queries(), k.strategy.Materialize(), opts);
+      StrategyError(w.Gram(), w.num_queries(), k.strategy->Materialize(), opts);
   EXPECT_NEAR(err_kron, err_via_dense, 1e-8 * err_kron);
 }
 
@@ -401,9 +407,7 @@ TEST(EigenDesignKron, AgreesWithAnalyticEigenPathOnMarginals) {
 
 TEST(Mechanism, KronInferenceMatchesDenseMaterialization) {
   AllRangeWorkload w(Domain({6, 5}));
-  auto design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(design.ok());
-  const KronStrategy& a = design.ValueOrDie().strategy;
+  const KronStrategy a = KronDesign(w);
   const PrivacyParams privacy{0.5, 1e-4};
 
   auto kron_mech = Mechanism::Prepare(std::make_shared<KronStrategy>(a),
@@ -434,12 +438,10 @@ TEST(Mechanism, KronInferenceMatchesDenseMaterialization) {
 
 TEST(Mechanism, KronNearNoiselessInferenceRecoversData) {
   AllRangeWorkload w(Domain({4, 4}));
-  auto design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(design.ok());
   // Essentially no privacy => essentially no noise => x_hat ~= x.
-  auto mech = Mechanism::Prepare(
-      std::make_shared<KronStrategy>(design.ValueOrDie().strategy),
-      {1e9, 0.5});
+  auto mech =
+      Mechanism::Prepare(std::make_shared<KronStrategy>(KronDesign(w)),
+                         {1e9, 0.5});
   ASSERT_TRUE(mech.ok());
   Vector x(w.num_cells());
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i % 7);
@@ -454,10 +456,7 @@ TEST(Mechanism, KronBatchedReleasesBitIdenticalToSequential) {
   // identical block-solve iterates), and both paths leave the rng in the
   // same state.
   AllRangeWorkload w(Domain({6, 5}));
-  auto design = optimize::EigenDesignKronForWorkload(w);
-  ASSERT_TRUE(design.ok());
-  const auto strategy =
-      std::make_shared<KronStrategy>(design.ValueOrDie().strategy);
+  const auto strategy = std::make_shared<KronStrategy>(KronDesign(w));
   ASSERT_TRUE(strategy->has_completion());  // exercise the PCG branch
   auto mech = Mechanism::Prepare(strategy, {0.5, 1e-4});
   ASSERT_TRUE(mech.ok());
@@ -483,9 +482,7 @@ TEST(Mechanism, KronBatchedReleasesBitIdenticalToSequential) {
 
 TEST(Release, QueryErrorProfileMatchesDenseProfile) {
   AllRangeWorkload ranges(Domain({4, 3}));
-  auto design = optimize::EigenDesignKronForWorkload(ranges);
-  ASSERT_TRUE(design.ok());
-  const KronStrategy& a = design.ValueOrDie().strategy;
+  const KronStrategy a = KronDesign(ranges);
 
   // A small explicit probe workload over the same cells.
   const std::size_t n = ranges.num_cells();

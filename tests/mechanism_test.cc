@@ -33,6 +33,13 @@ Mechanism Prepared(Strategy strategy, PrivacyParams privacy,
       .ValueOrDie();
 }
 
+// The dense engine's design of a workload, as the explicit strategy.
+Strategy DenseDesign(const Workload& w) {
+  optimize::DesignOptions options;
+  options.engine = optimize::EngineSelection::kDense;
+  return optimize::Design(w, options).ValueOrDie().strategy->Materialize();
+}
+
 ErrorOptions PerQuery() {
   ErrorOptions o;
   o.privacy = {kEps, kDelta};
@@ -110,9 +117,7 @@ TEST_P(AnalyticVsEmpirical, MatchesMonteCarloRmse) {
   AllRangeWorkload w(dom);
   Strategy strat = (which == 0)   ? IdentityStrategy(16)
                    : (which == 1) ? WaveletStrategy(dom)
-                                  : optimize::EigenDesignForWorkload(w)
-                                        .ValueOrDie()
-                                        .strategy;
+                                  : DenseDesign(w);
   ErrorOptions opts = PerQuery();
   const double analytic = StrategyError(w, strat, opts);
 
@@ -232,10 +237,8 @@ TEST(Prop5, SemanticEquivalenceOfEigenDesign) {
   PermutedWorkload permuted(base, rng.Permutation(32));
   ErrorOptions opts = PerQuery();
 
-  auto d1 = optimize::EigenDesignForWorkload(*base).ValueOrDie();
-  auto d2 = optimize::EigenDesignForWorkload(permuted).ValueOrDie();
-  const double e1 = StrategyError(*base, d1.strategy, opts);
-  const double e2 = StrategyError(permuted, d2.strategy, opts);
+  const double e1 = StrategyError(*base, DenseDesign(*base), opts);
+  const double e2 = StrategyError(permuted, DenseDesign(permuted), opts);
   EXPECT_NEAR(e1, e2, 2e-3 * e1);
 }
 
@@ -260,10 +263,8 @@ TEST(Prop6, ErrorEquivalentWorkloads) {
   Strategy wav = WaveletStrategy(Domain::OneDim(8));
   EXPECT_NEAR(StrategyError(w1, wav, opts), StrategyError(w2, wav, opts),
               1e-8);
-  auto d1 = optimize::EigenDesignForWorkload(w1).ValueOrDie();
-  auto d2 = optimize::EigenDesignForWorkload(w2).ValueOrDie();
-  EXPECT_NEAR(StrategyError(w1, d1.strategy, opts),
-              StrategyError(w2, d2.strategy, opts), 1e-4);
+  EXPECT_NEAR(StrategyError(w1, DenseDesign(w1), opts),
+              StrategyError(w2, DenseDesign(w2), opts), 1e-4);
 }
 
 TEST(RelativeError, DecreasesWithEpsilon) {

@@ -32,9 +32,10 @@ TEST_P(GroupSizes, SeparationStaysNearFullDesign) {
   AllRangeWorkload w(dom);
   ErrorOptions opts = Opts();
   auto eig = linalg::SymmetricEigen(w.Gram()).ValueOrDie();
-  auto full = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+  const Strategy full =
+      optimize::Design(eig).ValueOrDie().strategy->Materialize();
   auto sep = optimize::EigenSeparationDesign(eig, g).ValueOrDie();
-  const double full_err = StrategyError(w, full.strategy, opts);
+  const double full_err = StrategyError(w, full, opts);
   const double sep_err = StrategyError(w, sep.strategy, opts);
   EXPECT_EQ(sep.num_groups, (48 + g - 1) / g);
   // Within 20% of the full design (paper: ~5-11% at the paper's sizes).
@@ -53,10 +54,11 @@ TEST(EigenSeparation, FullGroupEqualsFullDesign) {
   AllRangeWorkload w(dom);
   ErrorOptions opts = Opts();
   auto eig = linalg::SymmetricEigen(w.Gram()).ValueOrDie();
-  auto full = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+  const Strategy full =
+      optimize::Design(eig).ValueOrDie().strategy->Materialize();
   auto sep = optimize::EigenSeparationDesign(eig, 24).ValueOrDie();
   EXPECT_NEAR(StrategyError(w, sep.strategy, opts),
-              StrategyError(w, full.strategy, opts), 1e-3);
+              StrategyError(w, full, opts), 1e-3);
 }
 
 class PrincipalCounts : public ::testing::TestWithParam<int> {};
@@ -67,10 +69,11 @@ TEST_P(PrincipalCounts, PrincipalVectorsStaysNearFullDesign) {
   AllRangeWorkload w(dom);
   ErrorOptions opts = Opts();
   auto eig = linalg::SymmetricEigen(w.Gram()).ValueOrDie();
-  auto full = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+  const Strategy full =
+      optimize::Design(eig).ValueOrDie().strategy->Materialize();
   auto pv = optimize::PrincipalVectorsDesign(eig, k).ValueOrDie();
   EXPECT_EQ(pv.num_principal, k);
-  const double full_err = StrategyError(w, full.strategy, opts);
+  const double full_err = StrategyError(w, full, opts);
   const double pv_err = StrategyError(w, pv.strategy, opts);
   EXPECT_LE(pv_err, 1.25 * full_err) << "k = " << k;
   EXPECT_GE(pv_err,
@@ -85,11 +88,12 @@ TEST(PrincipalVectors, AllVectorsEqualsFullDesign) {
   AllRangeWorkload w(dom);
   ErrorOptions opts = Opts();
   auto eig = linalg::SymmetricEigen(w.Gram()).ValueOrDie();
-  auto full = optimize::EigenDesignFromEigen(eig).ValueOrDie();
+  const Strategy full =
+      optimize::Design(eig).ValueOrDie().strategy->Materialize();
   auto pv = optimize::PrincipalVectorsDesign(eig, 24).ValueOrDie();
   EXPECT_EQ(pv.num_principal, 24u);
   EXPECT_NEAR(StrategyError(w, pv.strategy, opts),
-              StrategyError(w, full.strategy, opts), 1e-4);
+              StrategyError(w, full, opts), 1e-4);
 }
 
 TEST(PrincipalVectors, MoreVectorsNeverHurtMuch) {

@@ -44,11 +44,12 @@ TEST(SyntheticData, AnswersWorkloadsConsistently) {
   // (it is a single nonnegative integral table).
   Domain dom({16});
   AllRangeWorkload w(dom);
-  auto design = optimize::EigenDesignForWorkload(w).ValueOrDie();
-  auto mech = Mechanism::Prepare(
-                  std::make_shared<Strategy>(std::move(design.strategy)),
-                  {1.0, 1e-4})
-                  .ValueOrDie();
+  optimize::DesignOptions dense;
+  dense.engine = optimize::EngineSelection::kDense;
+  auto mech =
+      Mechanism::Prepare(optimize::Design(w, dense).ValueOrDie().strategy,
+                         {1.0, 1e-4})
+          .ValueOrDie();
   linalg::Vector x(16, 100.0);
   Rng rng(3);
   DataVector synth = SyntheticData(dom, mech.Release(x, &rng));
@@ -96,10 +97,9 @@ TEST(ReleaseBatch, BitIdenticalToSequentialMechanismAndProfiles) {
   // would get from budget-by-budget mechanism preparation: same estimates,
   // same error profiles, same rng state afterwards.
   AllRangeWorkload ranges(Domain({4, 4}));
-  auto design = optimize::EigenDesignKronForWorkload(ranges);
+  auto design = optimize::Design(*ranges.ImplicitEigen());
   ASSERT_TRUE(design.ok());
-  const auto strategy =
-      std::make_shared<KronStrategy>(design.ValueOrDie().strategy);
+  const auto strategy = design.ValueOrDie().strategy;
 
   const std::size_t n = ranges.num_cells();
   linalg::Matrix probe(3, n);

@@ -26,13 +26,13 @@ using serialize::ReleaseArtifact;
 using serialize::StrategyArtifact;
 
 StrategyArtifact DesignArtifact(const Workload& w, const std::string& spec) {
-  auto design = optimize::EigenDesignKronForWorkload(w);
+  auto design = optimize::Design(*w.ImplicitEigen());
   EXPECT_TRUE(design.ok()) << design.status().ToString();
   auto& d = design.ValueOrDie();
   StrategyArtifact artifact;
   artifact.signature = spec;
   artifact.domain_sizes = w.domain().sizes();
-  artifact.strategy = std::make_shared<KronStrategy>(std::move(d.strategy));
+  artifact.strategy = d.strategy;
   artifact.solver_report = d.solver_report;
   artifact.duality_gap = d.duality_gap;
   artifact.rank = d.rank;

@@ -137,10 +137,10 @@ TEST(SolverConvergence, SeparableWarmStartCertifiesProductSpectra) {
   // iterations. This is the mechanism behind the 64^3 headline number.
   AllRangeWorkload w(Domain({6, 5, 4}));
   const auto keig = *w.ImplicitEigen();
-  EigenDesignOptions accel;
+  DesignOptions accel;
   accel.solver.method = SolverMethod::kLbfgs;
   accel.solver.relative_gap_tol = 1e-10;
-  auto design = EigenDesignFromKronEigen(keig, accel);
+  auto design = Design(keig, accel);
   ASSERT_TRUE(design.ok());
   const auto& d = design.ValueOrDie();
   EXPECT_LT(d.duality_gap, 1e-10);
@@ -155,7 +155,7 @@ TEST(SolverConvergence, SeparableWarmStartCertifiesProductSpectra) {
                 d.solver_report.lbfgs_iterations);
 
   // The certified optimum agrees with the generic (default-ascent) design.
-  auto baseline = EigenDesignFromKronEigen(keig, EigenDesignOptions{});
+  auto baseline = Design(keig);
   ASSERT_TRUE(baseline.ok());
   EXPECT_NEAR(d.predicted_objective,
               baseline.ValueOrDie().predicted_objective,
@@ -170,10 +170,10 @@ TEST(SolverConvergence, SeparablePathDeclinesSummedSpectra) {
   // the generic pipeline still converging (the scaled start is optimal).
   MarginalsWorkload w = MarginalsWorkload::AllKWay(Domain({4, 3, 3}), 2);
   const auto keig = *w.ImplicitEigen();
-  EigenDesignOptions accel;
+  DesignOptions accel;
   accel.solver.method = SolverMethod::kLbfgs;
   accel.solver.relative_gap_tol = 1e-10;
-  auto design = EigenDesignFromKronEigen(keig, accel);
+  auto design = Design(keig, accel);
   ASSERT_TRUE(design.ok());
   EXPECT_LT(design.ValueOrDie().duality_gap, 1e-10);
 }

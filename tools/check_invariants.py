@@ -68,6 +68,12 @@ compiler have no way to express:
                   (util/stopwatch.h MonotonicNanos), which NTP steps cannot
                   send backwards mid-measurement. Wall-clock timestamps, if
                   ever needed, get one audited helper in util/.
+  engine-downcast no dynamic_cast (or dynamic_pointer_cast) to Strategy /
+                  KronStrategy in src/ or tools/: LinearStrategy is the one
+                  engine seam, and a downcast quietly forks behavior per
+                  engine. src/serialize/ is exempt — the artifact codec is
+                  engine-aware by design (each engine has its own payload).
+                  Tests, benches and examples may inspect engine internals.
 
 Suppression syntax — on the offending line, or in the comment line(s)
 immediately above it:
@@ -518,6 +524,24 @@ def rule_wall_clock(root, active, suppressed):
         active, suppressed)
 
 
+# ---- engine-downcast ------------------------------------------------------
+
+ENGINE_DOWNCAST_RE = re.compile(
+    r"\bdynamic_(?:pointer_)?cast\s*<\s*(?:const\s+)?(?:dpmm::)?"
+    r"(?:Kron)?Strategy\b")
+
+
+def rule_engine_downcast(root, active, suppressed):
+    codec_prefix = os.path.join("src", "serialize") + os.sep
+    files = [p for p in iter_sources(root, ["src", "tools"])
+             if not relpath(root, p).startswith(codec_prefix)]
+    scan_line_rule(
+        root, files, "engine-downcast", ENGINE_DOWNCAST_RE,
+        "downcast to a concrete strategy engine outside src/serialize/: go "
+        "through the LinearStrategy interface (Materialize() for the dense "
+        "form), or justify with lint:allow", active, suppressed)
+
+
 RULES = [
     rule_raw_fs_call,
     rule_unseeded_rng,
@@ -531,6 +555,7 @@ RULES = [
     rule_no_committed_build_dir,
     rule_metric_name,
     rule_wall_clock,
+    rule_engine_downcast,
 ]
 
 

@@ -2,8 +2,9 @@
 # End-to-end CLI acceptance for the unified engine API (ctest label `api`):
 # an ExplicitWorkload (the paper's Fig. 1 matrix) runs the full dense
 # store-and-serve loop — design --save -> release --store (ledger charged)
-# -> serve — plus the strict --engine parsing contract and the ledger's
-# exit-3 refusal. Usage: cli_api_test.sh <path-to-dpmm_cli>
+# -> serve — plus the strict --engine parsing contract, the ledger's exit-3
+# refusal, and standalone strategy files of both engines (design --out
+# materializes a kron strategy). Usage: cli_api_test.sh <path-to-dpmm_cli>
 set -euo pipefail
 
 CLI="$1"
@@ -112,6 +113,18 @@ echo "== strategy file round-trip through release --strategy =="
   --strategy "${WORK}/fig1.strategy" --epsilon 0.5 \
   --out "${WORK}/answers.csv" >/dev/null || fail "release --strategy failed"
 [ -s "${WORK}/answers.csv" ] || fail "no answers written"
+
+echo "== kron strategy file: design --out materializes, release --strategy uses it =="
+"${CLI}" design --domain 2,4 --workload allrange \
+  --out "${WORK}/allrange.strategy" > "${WORK}/kron_design.out" \
+  || fail "kron design --out failed"
+grep -q "engine kron" "${WORK}/kron_design.out" \
+  || fail "allrange design did not report the kron engine"
+"${CLI}" release --data "${DATA}" --workload allrange \
+  --strategy "${WORK}/allrange.strategy" --epsilon 0.5 \
+  --out "${WORK}/allrange_answers.csv" >/dev/null \
+  || fail "release --strategy with a materialized kron strategy failed"
+[ -s "${WORK}/allrange_answers.csv" ] || fail "no allrange answers written"
 
 echo "== stats --json round-trips a JSON parser =="
 "${CLI}" stats --json 1 > "${WORK}/stats.json" || fail "stats --json failed"

@@ -332,8 +332,7 @@ Result<std::shared_ptr<Workload>> ParseWorkload(const std::string& spec,
 /// of-range values are hard errors (exit 2) like every other option — a
 /// misspelled method or an impossible tolerance must not silently fall back
 /// to the default solver.
-bool ParseSolverOptions(const Args& args,
-                        optimize::EigenDesignOptions* options) {
+bool ParseSolverOptions(const Args& args, optimize::DesignOptions* options) {
   const auto it = args.options.find("solver");
   if (it != args.options.end()) {
     const auto method = optimize::ParseSolverMethod(it->second);
@@ -396,6 +395,18 @@ bool EngineMatchesSelection(StrategyEngine engine,
   return true;
 }
 
+/// The engine and Program-1 certificate of a fresh design, as release
+/// output reports it.
+std::string CertificateNote(const optimize::DesignResult& d) {
+  char note[128];
+  std::snprintf(note, sizeof(note),
+                ", engine=%s solver=%s gap=%.3e iterations=%d",
+                StrategyEngineName(d.engine),
+                optimize::SolverMethodName(d.solver_report.method),
+                d.duality_gap, d.solver_report.iterations);
+  return note;
+}
+
 bool ParsePrivacy(const Args& args, PrivacyParams* privacy) {
   if (!DoubleOpt(args, "epsilon", 0.5, &privacy->epsilon) ||
       !DoubleOpt(args, "delta", 1e-4, &privacy->delta)) {
@@ -440,13 +451,17 @@ int CmdError(const Args& args) {
   const Workload& w = *workload.ValueOrDie();
   ErrorOptions opts;
   if (!ParsePrivacy(args, &opts.privacy)) return 2;
-  optimize::EigenDesignOptions design_options;
+  optimize::DesignOptions design_options;
   if (!ParseSolverOptions(args, &design_options)) return 2;
 
   std::printf("workload: %s (%zu queries over %zu cells)\n",
               w.Name().c_str(), w.num_queries(), w.num_cells());
   const linalg::Matrix gram = w.Gram();
-  auto design = optimize::EigenDesign(gram, design_options).ValueOrDie();
+  const Strategy design =
+      optimize::Design(linalg::SymmetricEigen(gram).ValueOrDie(),
+                       design_options)
+          .ValueOrDie()
+          .strategy->Materialize();
   const Domain& dom = w.domain();
 
   TablePrinter table({"strategy", "per-query RMSE", "vs bound"});
@@ -455,8 +470,7 @@ int CmdError(const Args& args) {
     table.AddRow({name, TablePrinter::Num(err, 3),
                   TablePrinter::Num(err / bound, 3) + "x"});
   };
-  add("EigenDesign",
-      StrategyError(gram, w.num_queries(), design.strategy, opts));
+  add("EigenDesign", StrategyError(gram, w.num_queries(), design, opts));
   add("Wavelet", StrategyError(gram, w.num_queries(), WaveletStrategy(dom), opts));
   add("Hierarchical",
       StrategyError(gram, w.num_queries(), HierarchicalStrategy(dom), opts));
@@ -530,11 +544,7 @@ int CmdDesign(const Args& args) {
                 serve::StoreKey(artifact.signature).c_str());
   }
   if (!out.empty()) {
-    const Strategy dense =
-        d.engine == StrategyEngine::kKron
-            ? dynamic_cast<const KronStrategy&>(*d.strategy).Materialize()
-            : dynamic_cast<const Strategy&>(*d.strategy);
-    Status st = strategy_io::SaveStrategy(dense, out);
+    Status st = strategy_io::SaveStrategy(d.strategy->Materialize(), out);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return kExitUsage;
@@ -667,13 +677,7 @@ int CmdReleaseOrSynth(const Args& args, bool synth) {
         std::fprintf(stderr, "%s\n", st.ToString().c_str());
         return FailureExitCode(st);
       }
-      char note[128];
-      std::snprintf(note, sizeof(note),
-                    ", engine=%s solver=%s gap=%.3e iterations=%d",
-                    StrategyEngineName(d.engine),
-                    optimize::SolverMethodName(d.solver_report.method),
-                    d.duality_gap, d.solver_report.iterations);
-      solver_note = note;
+      solver_note = CertificateNote(d);
       std::fprintf(stderr,
                    "designed and stored strategy for %s (key %s, engine %s, "
                    "rank %zu)\n",
@@ -780,27 +784,12 @@ int CmdReleaseOrSynth(const Args& args, bool synth) {
                  .x_hats;
   } else {
     auto designed = optimize::Design(w, design_options);
-    if (!designed.ok() &&
-        design_options.engine == optimize::EngineSelection::kAuto &&
-        w.ImplicitEigen().has_value()) {
-      std::fprintf(stderr, "kron fast path failed (%s); using dense path\n",
-                   designed.status().ToString().c_str());
-      optimize::DesignOptions dense_options = design_options;
-      dense_options.engine = optimize::EngineSelection::kDense;
-      designed = optimize::Design(w, dense_options);
-    }
     if (!designed.ok()) {
       std::fprintf(stderr, "%s\n", designed.status().ToString().c_str());
       return 2;
     }
     auto& d = designed.ValueOrDie();
-    char note[128];
-    std::snprintf(note, sizeof(note),
-                  ", engine=%s solver=%s gap=%.3e iterations=%d",
-                  StrategyEngineName(d.engine),
-                  optimize::SolverMethodName(d.solver_report.method),
-                  d.duality_gap, d.solver_report.iterations);
-    solver_note = note;
+    solver_note = CertificateNote(d);
     if (d.engine == StrategyEngine::kKron) {
       std::fprintf(stderr,
                    "kron fast path: implicit strategy over %zu cells "

@@ -136,12 +136,12 @@ const std::vector<Matrix>& KronEigenBasis::Abs() const {
   return cache_->abs;
 }
 
-Vector KronEigenBasis::Apply(const Vector& x) const {
-  return KronMatVec(factors_, x);
+Vector KronEigenBasis::Apply(const Vector& x, std::size_t batch) const {
+  return KronMatVec(factors_, x, batch);
 }
 
-Vector KronEigenBasis::ApplyT(const Vector& x) const {
-  return KronMatVec(Transposed(), x);
+Vector KronEigenBasis::ApplyT(const Vector& x, std::size_t batch) const {
+  return KronMatVec(Transposed(), x, batch);
 }
 
 Vector KronEigenBasis::ApplySquared(const Vector& x) const {
@@ -156,24 +156,14 @@ Vector KronEigenBasis::ApplyAbs(const Vector& x) const {
   return KronMatVec(Abs(), x);
 }
 
-Vector KronEigenBasis::ApplyBatch(const Vector& packed,
-                                  std::size_t batch) const {
-  return KronMatVecBatch(factors_, packed, batch);
+void KronEigenBasis::ApplyInto(const Vector& packed, std::size_t batch,
+                               Vector* out, Vector* work) const {
+  KronMatVecInto(factors_, packed, batch, out, work);
 }
 
-Vector KronEigenBasis::ApplyTBatch(const Vector& packed,
-                                   std::size_t batch) const {
-  return KronMatVecBatch(Transposed(), packed, batch);
-}
-
-void KronEigenBasis::ApplyBatchInto(const Vector& packed, std::size_t batch,
-                                    Vector* out, Vector* work) const {
-  KronMatVecBatchInto(factors_, packed, batch, out, work);
-}
-
-void KronEigenBasis::ApplyTBatchInto(const Vector& packed, std::size_t batch,
-                                     Vector* out, Vector* work) const {
-  KronMatVecBatchInto(Transposed(), packed, batch, out, work);
+void KronEigenBasis::ApplyTInto(const Vector& packed, std::size_t batch,
+                                Vector* out, Vector* work) const {
+  KronMatVecInto(Transposed(), packed, batch, out, work);
 }
 
 double KronEigenBasis::Entry(std::size_t row, std::size_t col) const {

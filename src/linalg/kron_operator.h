@@ -87,9 +87,9 @@ class SumKronGram {
 /// memory — wasteful for a basis over a single large 1D factor whose
 /// caller only ever needs one variant); copies of a basis share one cache,
 /// so a variant is built at most once per underlying factor set.
-/// The ApplyBatch/ApplyTBatch forms run one shared pass over B
-/// column-interleaved vectors (see KronMatVecBatch), bit-identical to B
-/// single applies.
+/// Apply/ApplyT take a batch width: B column-interleaved vectors run one
+/// shared pass of the one vec-trick kernel (see KronMatVec), bit-identical
+/// to B single applies; the default width 1 is a single vector.
 class KronEigenBasis {
  public:
   KronEigenBasis() = default;
@@ -99,24 +99,21 @@ class KronEigenBasis {
   std::size_t num_factors() const { return factors_.size(); }
   const std::vector<Matrix>& factors() const { return factors_; }
 
-  Vector Apply(const Vector& x) const;          // Q x
-  Vector ApplyT(const Vector& x) const;         // Q^T x
+  /// Q x over `batch` interleaved vectors (layout of KronMatVec).
+  Vector Apply(const Vector& x, std::size_t batch = 1) const;
+  /// Q^T x over `batch` interleaved vectors.
+  Vector ApplyT(const Vector& x, std::size_t batch = 1) const;
   Vector ApplySquared(const Vector& x) const;   // (Q o Q) x
   Vector ApplySquaredT(const Vector& x) const;  // (Q o Q)^T x
   Vector ApplyAbs(const Vector& x) const;       // |Q| x
 
-  /// Q applied to `batch` interleaved vectors (layout of KronMatVecBatch).
-  Vector ApplyBatch(const Vector& packed, std::size_t batch) const;
-  /// Q^T applied to `batch` interleaved vectors.
-  Vector ApplyTBatch(const Vector& packed, std::size_t batch) const;
-
-  /// Scratch-reusing forms for hot loops (see KronMatVecBatchInto): the
-  /// result lands in *out, *work is clobbered; both are grown on demand and
+  /// Scratch-reusing forms for hot loops (see KronMatVecInto): the result
+  /// lands in *out, *work is clobbered; both are grown on demand and
   /// amortize their allocations across calls. Bitwise-identical results.
-  void ApplyBatchInto(const Vector& packed, std::size_t batch, Vector* out,
-                      Vector* work) const;
-  void ApplyTBatchInto(const Vector& packed, std::size_t batch, Vector* out,
-                       Vector* work) const;
+  void ApplyInto(const Vector& packed, std::size_t batch, Vector* out,
+                 Vector* work) const;
+  void ApplyTInto(const Vector& packed, std::size_t batch, Vector* out,
+                  Vector* work) const;
 
   /// Single entry Q(row, col) = prod_i Q_i(row_i, col_i): O(k).
   double Entry(std::size_t row, std::size_t col) const;

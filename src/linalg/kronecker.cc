@@ -32,63 +32,13 @@ Matrix KronList(const std::vector<Matrix>& factors) {
   return out;
 }
 
-Vector KronMatVec(const std::vector<Matrix>& factors, const Vector& x) {
-  DPMM_DCHECK_GT(factors.size(), 0u);
-  std::size_t expected = 1;
-  for (const auto& f : factors) expected *= f.cols();
-  DPMM_DCHECK_EQ(x.size(), expected);
-
-  Vector cur = x;
-  std::vector<std::size_t> dims(factors.size());
-  for (std::size_t i = 0; i < factors.size(); ++i) dims[i] = factors[i].cols();
-
-  for (std::size_t axis = 0; axis < factors.size(); ++axis) {
-    const Matrix& f = factors[axis];
-    const std::size_t c = f.cols();
-    const std::size_t r = f.rows();
-    std::size_t outer = 1;
-    for (std::size_t i = 0; i < axis; ++i) outer *= dims[i];
-    std::size_t stride = 1;
-    for (std::size_t i = axis + 1; i < dims.size(); ++i) stride *= dims[i];
-
-    Vector next(outer * r * stride, 0.0);
-    // Each (outer block, row) pair writes a disjoint stride-length slice of
-    // `next`, so the flattened index space splits safely across one thread
-    // team per axis. Grain sized so each chunk carries at least ~kMinFlops
-    // multiply-adds.
-    constexpr std::size_t kMinFlops = std::size_t{1} << 16;
-    const std::size_t per_row = std::max<std::size_t>(c * stride, 1);
-    ParallelFor(0, outer * r, std::max<std::size_t>(1, kMinFlops / per_row),
-                [&](std::size_t lo, std::size_t hi) {
-                  for (std::size_t idx = lo; idx < hi; ++idx) {
-                    const std::size_t o = idx / r;
-                    const std::size_t ri = idx % r;
-                    const double* in_block = cur.data() + o * c * stride;
-                    const double* frow = f.RowPtr(ri);
-                    double* dst = next.data() + (o * r + ri) * stride;
-                    for (std::size_t ci = 0; ci < c; ++ci) {
-                      const double fv = frow[ci];
-                      if (fv == 0.0) continue;
-                      const double* src = in_block + ci * stride;
-                      for (std::size_t s = 0; s < stride; ++s) {
-                        dst[s] += fv * src[s];
-                      }
-                    }
-                  }
-                });
-    dims[axis] = r;
-    cur = std::move(next);
-  }
-  return cur;
-}
-
 namespace {
 
-// One axis pass of the batched vec-trick: dst = (I (x) F (x) I) src with
-// the batch as an extra trailing axis (every logical element widens to
-// `batch` adjacent entries). Per element the accumulation over ci runs in
-// the same order as KronMatVec, so each interleaved vector gets a
-// bit-identical result.
+// One axis pass of the vec-trick: dst = (I (x) F (x) I) src with the batch
+// as an extra trailing axis (every logical element widens to `batch`
+// adjacent entries; batch 1 is a single vector). Each element accumulates
+// over ci in ascending order, skipping zero factor entries, whatever the
+// batch width, so each interleaved vector gets the bits it would get alone.
 void BatchedAxisPass(const Matrix& f, const Vector& src_vec,
                      std::size_t outer, std::size_t stride, std::size_t batch,
                      Vector* dst_vec) {
@@ -130,7 +80,7 @@ void BatchedAxisPass(const Matrix& f, const Vector& src_vec,
           // L2-bandwidth-bound. Each element still accumulates over ci in
           // ascending order, so per-vector bit-identity is preserved; rows
           // with zero factor entries fall back to the per-row loop to keep
-          // the single-vector skip semantics exactly.
+          // the zero-skip semantics exactly.
           std::size_t ri = 0;
           for (; ri + 4 <= r; ri += 4) {
             const double* fr0 = f.RowPtr(ri);
@@ -187,9 +137,8 @@ void BatchedAxisPass(const Matrix& f, const Vector& src_vec,
 
 }  // namespace
 
-void KronMatVecBatchInto(const std::vector<Matrix>& factors,
-                         const Vector& packed, std::size_t batch, Vector* out,
-                         Vector* work) {
+void KronMatVecInto(const std::vector<Matrix>& factors, const Vector& packed,
+                    std::size_t batch, Vector* out, Vector* work) {
   DPMM_DCHECK_GT(factors.size(), 0u);
   DPMM_DCHECK_GT(batch, 0u);
   DPMM_DCHECK(out != work);
@@ -221,10 +170,10 @@ void KronMatVecBatchInto(const std::vector<Matrix>& factors,
   }
 }
 
-Vector KronMatVecBatch(const std::vector<Matrix>& factors,
-                       const Vector& packed, std::size_t batch) {
+Vector KronMatVec(const std::vector<Matrix>& factors, const Vector& packed,
+                  std::size_t batch) {
   Vector out, work;
-  KronMatVecBatchInto(factors, packed, batch, &out, &work);
+  KronMatVecInto(factors, packed, batch, &out, &work);
   return out;
 }
 

@@ -21,31 +21,30 @@ Matrix Kron(const Matrix& a, const Matrix& b);
 Matrix KronList(const std::vector<Matrix>& factors);
 
 /// y = (A_1 (x) ... (x) A_k) x without materializing the product, using the
-/// vec-trick (each factor applied along its own axis). Sizes must satisfy
-/// x.size() == prod(cols(A_i)).
-Vector KronMatVec(const std::vector<Matrix>& factors, const Vector& x);
+/// vec-trick (each factor applied along its own axis), over `batch` vectors
+/// held column-interleaved: element i of vector b sits at
+/// packed[i * batch + b], and the result uses the same layout. The default
+/// batch of 1 is a single plain vector — the packed layout of one vector is
+/// the vector itself — so this is the one axis-pass kernel for single and
+/// batched applies alike. Sizes must satisfy
+/// packed.size() == batch * prod(cols(A_i)).
+///
+/// Each element accumulates over its factor row in ascending order with
+/// zero entries skipped, whatever the batch width, so every interleaved
+/// vector's result is bit-identical to applying it alone; wider batches
+/// only make every axis pass stream longer batch-contiguous spans (on the
+/// last axis a single vector degenerates to a serial dot-product chain).
+Vector KronMatVec(const std::vector<Matrix>& factors, const Vector& packed,
+                  std::size_t batch = 1);
 
-/// Batched vec-trick over B vectors held column-interleaved: element i of
-/// vector b sits at packed[i * batch + b], and the result uses the same
-/// layout. Each per-vector arithmetic chain runs in exactly the order
-/// KronMatVec would run it on that vector alone, so the outputs are
-/// bit-identical to `batch` independent KronMatVec calls — but every axis
-/// pass streams batch-contiguous spans, which keeps the inner loop wide
-/// (and vectorizable) even on the last axis, where the single-vector pass
-/// degenerates to length-1 strides (a serial dot-product dependency chain).
-/// This is the shared-work kernel behind batched releases.
-Vector KronMatVecBatch(const std::vector<Matrix>& factors,
-                       const Vector& packed, std::size_t batch);
-
-/// Scratch-reusing form of KronMatVecBatch for hot loops (block PCG): the
-/// result lands in *out (resized as needed) and *work is ping-pong scratch
-/// (grown on demand, contents clobbered). Reusing the two buffers across
-/// calls avoids re-faulting hundreds of megabytes of fresh allocations per
+/// Scratch-reusing form of KronMatVec for hot loops (block PCG): the result
+/// lands in *out (resized as needed) and *work is ping-pong scratch (grown
+/// on demand, contents clobbered). Reusing the two buffers across calls
+/// avoids re-faulting hundreds of megabytes of fresh allocations per
 /// iteration at large n * B — the arithmetic, and therefore the bitwise
-/// result, is identical to KronMatVecBatch.
-void KronMatVecBatchInto(const std::vector<Matrix>& factors,
-                         const Vector& packed, std::size_t batch, Vector* out,
-                         Vector* work);
+/// result, is identical to KronMatVec.
+void KronMatVecInto(const std::vector<Matrix>& factors, const Vector& packed,
+                    std::size_t batch, Vector* out, Vector* work);
 
 /// Packs vectors (all the same length) into the interleaved batch layout.
 Vector PackBatch(const std::vector<Vector>& vectors);

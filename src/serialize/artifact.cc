@@ -15,7 +15,7 @@ constexpr std::uint32_t kKindStrategy = 1;
 constexpr std::uint32_t kKindRelease = 2;
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8;
 
-// The engine tag of the v2 strategy payload. Stable on-disk values —
+// The engine tag of the strategy payload. Stable on-disk values —
 // independent of the in-memory StrategyEngine enum order.
 constexpr std::uint32_t kEngineKron = 1;
 constexpr std::uint32_t kEngineDense = 2;
@@ -133,11 +133,10 @@ Status Truncated(const char* what) {
   return Status::IoError(std::string("truncated artifact: ") + what);
 }
 
-std::string Container(std::uint32_t version, std::uint32_t kind,
-                      const std::string& payload) {
+std::string Container(std::uint32_t kind, const std::string& payload) {
   Writer w;
   w.out.append(kMagic, sizeof(kMagic));
-  w.U32(version);
+  w.U32(kArtifactVersion);
   w.U32(kind);
   w.U64(payload.size());
   w.U64(Fnv1a64(payload.data(), payload.size()));
@@ -145,27 +144,24 @@ std::string Container(std::uint32_t version, std::uint32_t kind,
   return w.out;
 }
 
-/// Validates the container and returns a Reader over the payload; the
-/// format version (needed to pick the payload layout) comes back through
-/// `version`. Every known version is accepted — v1 is the kron-only
-/// layout, v2 added the engine tag, v3 the release supersession field.
+/// Validates the container and returns a Reader over the payload. Only the
+/// current format version is accepted.
 Result<Reader> OpenContainer(const std::string& bytes,
-                             std::uint32_t expected_kind,
-                             std::uint32_t* version) {
+                             std::uint32_t expected_kind) {
   if (bytes.size() < kHeaderSize ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::IoError("not a dpmm artifact (bad magic)");
   }
   Reader header(bytes.data() + sizeof(kMagic), bytes.size() - sizeof(kMagic));
-  std::uint32_t kind = 0;
+  std::uint32_t version = 0, kind = 0;
   std::uint64_t payload_size = 0, checksum = 0;
-  header.U32(version);
+  header.U32(&version);
   header.U32(&kind);
   header.U64(&payload_size);
   header.U64(&checksum);
-  if (*version < 1 || *version > kArtifactVersion) {
+  if (version != kArtifactVersion) {
     return Status::IoError("unsupported artifact version " +
-                           std::to_string(*version) + " (expected <= " +
+                           std::to_string(version) + " (expected " +
                            std::to_string(kArtifactVersion) + ")");
   }
   if (kind != expected_kind) {
@@ -252,8 +248,7 @@ Status WriteWholeFile(const std::string& path, const std::string& bytes) {
 }
 
 /// The kron engine block: name, basis factors, kept columns, weights,
-/// completion rows — the exact v1 field order, so the v1 decode path and
-/// the v2 kron branch share this code.
+/// completion rows.
 void WriteKronBlock(Writer* w, const KronStrategy& s) {
   w->Str(s.name());
   const auto& factors = s.basis().factors();
@@ -415,12 +410,11 @@ std::string EncodeStrategyArtifact(const StrategyArtifact& artifact) {
   WriteSolverReport(&w, artifact.solver_report);
   w.F64(artifact.duality_gap);
   w.U64(artifact.rank);
-  return Container(kArtifactVersion, kKindStrategy, w.out);
+  return Container(kKindStrategy, w.out);
 }
 
 Result<StrategyArtifact> DecodeStrategyArtifact(const std::string& bytes) {
-  std::uint32_t version = 0;
-  auto opened = OpenContainer(bytes, kKindStrategy, &version);
+  auto opened = OpenContainer(bytes, kKindStrategy);
   if (!opened.ok()) return opened.status();
   Reader r = std::move(opened).ValueOrDie();
 
@@ -431,11 +425,8 @@ Result<StrategyArtifact> DecodeStrategyArtifact(const std::string& bytes) {
   Status st = CheckedCells(out.domain_sizes, &cells);
   if (!st.ok()) return st;
 
-  // v1 predates the engine tag: its payload is always the kron block.
-  std::uint32_t engine = kEngineKron;
-  if (version >= 2) {
-    if (!r.U32(&engine)) return Truncated("engine tag");
-  }
+  std::uint32_t engine = 0;
+  if (!r.U32(&engine)) return Truncated("engine tag");
   if (engine == kEngineKron) {
     st = ReadKronBlock(&r, cells, out.domain_sizes.size(), &out.strategy);
   } else if (engine == kEngineDense) {
@@ -458,37 +449,6 @@ Result<StrategyArtifact> DecodeStrategyArtifact(const std::string& bytes) {
   return out;
 }
 
-namespace internal {
-
-std::string EncodeStrategyArtifactV1(const StrategyArtifact& artifact) {
-  const auto* kron =
-      dynamic_cast<const KronStrategy*>(artifact.strategy.get());
-  DPMM_CHECK_MSG(kron != nullptr, "v1 artifacts are kron-only");
-  Writer w;
-  w.Str(artifact.signature);
-  w.Sizes(artifact.domain_sizes);
-  WriteKronBlock(&w, *kron);
-  WriteSolverReport(&w, artifact.solver_report);
-  w.F64(artifact.duality_gap);
-  w.U64(artifact.rank);
-  return Container(1, kKindStrategy, w.out);
-}
-
-std::string EncodeReleaseArtifactV2(const ReleaseArtifact& artifact) {
-  Writer w;
-  w.Str(artifact.signature);
-  w.Sizes(artifact.domain_sizes);
-  w.F64(artifact.budget.epsilon);
-  w.F64(artifact.budget.delta);
-  w.Str(artifact.dataset);
-  w.U64(artifact.seed);
-  w.U64(artifact.batch_index);
-  w.Vec(artifact.x_hat);
-  return Container(2, kKindRelease, w.out);
-}
-
-}  // namespace internal
-
 std::string EncodeReleaseArtifact(const ReleaseArtifact& artifact) {
   Writer w;
   w.Str(artifact.signature);
@@ -500,14 +460,11 @@ std::string EncodeReleaseArtifact(const ReleaseArtifact& artifact) {
   w.U64(artifact.batch_index);
   w.U64(artifact.supersedes_plus1);
   w.Vec(artifact.x_hat);
-  return Container(kArtifactVersion, kKindRelease, w.out);
+  return Container(kKindRelease, w.out);
 }
 
 Result<ReleaseArtifact> DecodeReleaseArtifact(const std::string& bytes) {
-  // The release payload is identical in v1 and v2; v3 inserted the
-  // supersession field after the provenance block.
-  std::uint32_t version = 0;
-  auto opened = OpenContainer(bytes, kKindRelease, &version);
+  auto opened = OpenContainer(bytes, kKindRelease);
   if (!opened.ok()) return opened.status();
   Reader r = std::move(opened).ValueOrDie();
 
@@ -528,8 +485,7 @@ Result<ReleaseArtifact> DecodeReleaseArtifact(const std::string& bytes) {
   if (!r.U64(&out.seed) || !r.U64(&out.batch_index)) {
     return Truncated("provenance");
   }
-  // v1/v2 predate supersession: those releases supersede nothing.
-  if (version >= 3 && !r.U64(&out.supersedes_plus1)) {
+  if (!r.U64(&out.supersedes_plus1)) {
     return Truncated("supersession");
   }
   if (!r.Vec(&out.x_hat)) return Truncated("estimate");

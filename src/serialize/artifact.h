@@ -16,17 +16,15 @@
 //   payload      kind-specific fields (see EncodeStrategyArtifact /
 //                EncodeReleaseArtifact in the .cc)
 //
-// Format v2 made strategies engine-polymorphic: the strategy payload
-// carries an engine tag (1 = kron, 2 = dense) followed by the engine's
-// representation — the implicit Kronecker form (basis factors, kept
-// columns, weights, completion rows) or the explicit dense matrix — so
-// every strategy the design layer can produce is storable and servable.
-// Format v3 extended the release payload with a supersession field (the id
-// of the prior same-provenance release this one replaces, written by the
-// sharded store so its compactor can drop superseded artifacts); strategy
-// payloads are identical in v2 and v3, release payloads identical in v1
-// and v2. Encoders always write the current version; v1 and v2 artifacts
-// still decode (the v3 field reads as "supersedes nothing").
+// Strategies are engine-polymorphic: the strategy payload carries an
+// engine tag (1 = kron, 2 = dense) followed by the engine's representation
+// — the implicit Kronecker form (basis factors, kept columns, weights,
+// completion rows) or the explicit dense matrix — so every strategy the
+// design layer can produce is storable and servable. The release payload
+// carries a supersession field (the id of the prior same-provenance
+// release this one replaces, written by the sharded store so its
+// compactor can drop superseded artifacts). Encoders write, and decoders
+// accept, only the current version (3); any other version is an error.
 //
 // Decoding is strict: wrong magic, unsupported version, a checksum
 // mismatch, truncation, trailing bytes, or payload fields that violate the
@@ -51,10 +49,9 @@
 namespace dpmm {
 namespace serialize {
 
-/// Artifact format version; bump on any layout change. Decoders accept the
-/// versions they explicitly know how to read (currently 1, 2 and 3 for
-/// strategies/releases) and reject everything else outright (no silent
-/// best-effort reads of future layouts).
+/// Artifact format version; bump on any layout change. Decoders accept this
+/// version only and reject everything else outright (no best-effort reads
+/// of older or future layouts).
 constexpr std::uint32_t kArtifactVersion = 3;
 
 /// FNV-1a 64-bit hash — the artifact checksum and the store's key hash.
@@ -97,7 +94,7 @@ struct ReleaseArtifact {
   std::string dataset;
   std::uint64_t seed = 0;
   std::uint64_t batch_index = 0;
-  /// Supersession (v3): the store id of the prior release with the same
+  /// Supersession: the store id of the prior release with the same
   /// (signature, dataset) provenance that this release replaces, offset by
   /// one so 0 means "supersedes nothing" (ids start at 0). Filled in by
   /// ReleaseStore::Put on sharded stores; the shard manifest carries the
@@ -126,21 +123,6 @@ std::string EncodeReleaseArtifact(const ReleaseArtifact& artifact);
 [[nodiscard]] Status SaveReleaseArtifact(const ReleaseArtifact& artifact,
                            const std::string& path);
 [[nodiscard]] Result<ReleaseArtifact> LoadReleaseArtifact(const std::string& path);
-
-namespace internal {
-
-/// Encodes the legacy v1 (kron-only, no engine tag) strategy layout — a
-/// compatibility fixture so tests can prove v1 artifacts keep decoding
-/// without checking binary golden files into the tree. Production encoders
-/// always write kArtifactVersion. Requires a kron-engine artifact.
-std::string EncodeStrategyArtifactV1(const StrategyArtifact& artifact);
-
-/// Encodes the legacy v2 (no supersession field) release layout — the
-/// compatibility fixture proving v2 releases keep decoding. Production
-/// encoders always write kArtifactVersion.
-std::string EncodeReleaseArtifactV2(const ReleaseArtifact& artifact);
-
-}  // namespace internal
 
 }  // namespace serialize
 }  // namespace dpmm

@@ -46,17 +46,8 @@ Vector KronStrategy::Apply(const Vector& x) const {
 }
 
 Vector KronStrategy::ApplyT(const Vector& y) const {
-  DPMM_CHECK_EQ(y.size(), num_queries());
-  Vector full(num_cells(), 0.0);
-  for (std::size_t i = 0; i < kept_.size(); ++i) {
-    full[kept_[i]] = weights_[i] * y[i];
-  }
-  Vector out = basis_.Apply(full);
-  for (std::size_t k = 0; k < completion_cells_.size(); ++k) {
-    const std::size_t j = completion_cells_[k];
-    out[j] += completion_[j] * y[kept_.size() + k];
-  }
-  return out;
+  // The packed layout of one vector is the vector itself.
+  return ApplyTBatchPacked({y});
 }
 
 Vector KronStrategy::ApplyTBatchPacked(const std::vector<Vector>& ys) const {
@@ -64,7 +55,7 @@ Vector KronStrategy::ApplyTBatchPacked(const std::vector<Vector>& ys) const {
   DPMM_CHECK_GT(batch, 0u);
   const std::size_t n = num_cells();
   // Weight scatter and completion add are per-column elementwise, the basis
-  // apply is one shared batched pass: per column this is exactly ApplyT.
+  // apply is one shared batched pass: per column this is exactly A^T y.
   Vector full(n * batch, 0.0);
   for (std::size_t b = 0; b < batch; ++b) {
     DPMM_CHECK_EQ(ys[b].size(), num_queries());
@@ -72,7 +63,7 @@ Vector KronStrategy::ApplyTBatchPacked(const std::vector<Vector>& ys) const {
       full[kept_[i] * batch + b] = weights_[i] * ys[b][i];
     }
   }
-  Vector packed = basis_.ApplyBatch(full, batch);
+  Vector packed = basis_.Apply(full, batch);
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t k = 0; k < completion_cells_.size(); ++k) {
       const std::size_t j = completion_cells_[k];
@@ -80,22 +71,6 @@ Vector KronStrategy::ApplyTBatchPacked(const std::vector<Vector>& ys) const {
     }
   }
   return packed;
-}
-
-std::vector<Vector> KronStrategy::ApplyTBatch(
-    const std::vector<Vector>& ys) const {
-  return linalg::UnpackBatch(ApplyTBatchPacked(ys), ys.size());
-}
-
-Vector KronStrategy::NormalMatVec(const Vector& v) const {
-  DPMM_CHECK_EQ(v.size(), num_cells());
-  Vector z = basis_.ApplyT(v);
-  for (std::size_t j = 0; j < z.size(); ++j) z[j] *= u_full_[j];
-  Vector out = basis_.Apply(z);
-  for (std::size_t j : completion_cells_) {
-    out[j] += completion_[j] * completion_[j] * v[j];
-  }
-  return out;
 }
 
 Vector KronStrategy::ColumnNormsSquared() const {
@@ -124,83 +99,13 @@ double KronStrategy::L1Sensitivity() const {
   return mx;
 }
 
-Vector KronStrategy::SolveNormalImpl(const Vector& b, double rel_tol) const {
-  DPMM_CHECK_EQ(b.size(), num_cells());
-  const std::size_t n = num_cells();
-  if (completion_cells_.empty()) {
-    // A^T A = Q diag(u) Q^T: invert on the kept spectrum, zero elsewhere
-    // (minimum-norm solution for truncated designs).
-    Vector z = basis_.ApplyT(b);
-    for (std::size_t j = 0; j < n; ++j) {
-      z[j] = u_full_[j] > 0.0 ? z[j] / u_full_[j] : 0.0;
-    }
-    return basis_.Apply(z);
-  }
-  // Preconditioned CG on M = Q diag(u) Q^T + D^2 with preconditioner
-  // P = Q diag(u + tau) Q^T, tau = mean completion mass — exact when the
-  // completion diagonal is uniform, a strong approximation otherwise.
-  double tau = 0;
-  for (std::size_t j : completion_cells_) {
-    tau += completion_[j] * completion_[j];
-  }
-  tau /= static_cast<double>(n);
-  double u_max = 0;
-  for (double u : u_full_) u_max = std::max(u_max, u);
-  tau = std::max(tau, 1e-14 * u_max);
-  auto precond = [&](const Vector& r) {
-    Vector z = basis_.ApplyT(r);
-    for (std::size_t j = 0; j < n; ++j) z[j] /= (u_full_[j] + tau);
-    return basis_.Apply(z);
-  };
-
-  const double b_norm2 = linalg::Dot(b, b);
-  Vector x(n, 0.0);
-  Vector r = b;
-  Vector z = precond(r);
-  Vector p = z;
-  double rz = linalg::Dot(r, z);
-  const double tol2 = rel_tol * rel_tol * std::max(b_norm2, 1e-300);
-  const int max_iter = static_cast<int>(std::min<std::size_t>(8 * n, 20000));
-  // Stagnation guard: when rounding noise keeps the residual above the
-  // requested floor, stop once a window of iterations brings no improvement
-  // instead of burning the full budget.
-  constexpr int kStagnationWindow = 50;
-  double best_r2 = b_norm2;
-  Vector best_x = x;
-  int since_improvement = 0;
-  for (int it = 0; it < max_iter; ++it) {
-    const double r2 = linalg::Dot(r, r);
-    if (r2 < best_r2) {
-      best_r2 = r2;
-      best_x = x;
-      since_improvement = 0;
-    } else if (++since_improvement >= kStagnationWindow) {
-      break;
-    }
-    if (r2 <= tol2) break;
-    const Vector mp = NormalMatVec(p);
-    const double p_mp = linalg::Dot(p, mp);
-    if (p_mp <= 0.0) break;  // hit the (numerical) null space
-    const double alpha = rz / p_mp;
-    linalg::Axpy(alpha, p, &x);
-    linalg::Axpy(-alpha, mp, &r);
-    z = precond(r);
-    const double rz_next = linalg::Dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    for (std::size_t j = 0; j < n; ++j) p[j] = z[j] + beta * p[j];
-  }
-  const double final_r2 = linalg::Dot(r, r);
-  return final_r2 <= best_r2 ? x : best_x;
-}
-
 namespace {
 
 // Per-column BLAS-1 kernels over the interleaved block layout. All of them
 // run row-major (j outer, column inner) so one pass streams the whole block
-// contiguously, while each column's arithmetic keeps exactly the ascending-j
-// order of the single-vector Dot/Axpy — the bit-identity contract of
-// SolveNormalBatch.
+// contiguously, while each column's arithmetic keeps the ascending-j order
+// of linalg::Dot/Axpy at any width — so a column's bits never depend on the
+// batch it was solved in.
 
 // acc[b] = sum_j a[j*B+b] * c[j*B+b] (Dot's accumulation order per column).
 void ColDots(const Vector& a, const Vector& c, std::size_t batch,
@@ -279,9 +184,9 @@ std::vector<Vector> KronStrategy::SolveNormalBatchPacked(Vector packed,
   const std::size_t n = num_cells();
   DPMM_CHECK_EQ(packed.size(), n * batch);
   if (completion_cells_.empty()) {
-    // Diagonal in the eigenbasis: three batched applies, the same
-    // per-element operations SolveNormal runs on each column.
-    Vector z = basis_.ApplyTBatch(packed, batch);
+    // A^T A = Q diag(u) Q^T: invert on the kept spectrum, zero elsewhere
+    // (minimum-norm solution for truncated designs) — two basis passes.
+    Vector z = basis_.ApplyT(packed, batch);
     for (std::size_t j = 0; j < n; ++j) {
       const double u = u_full_[j];
       double* zj = z.data() + j * batch;
@@ -289,11 +194,15 @@ std::vector<Vector> KronStrategy::SolveNormalBatchPacked(Vector packed,
         zj[b] = u > 0.0 ? zj[b] / u : 0.0;
       }
     }
-    return linalg::UnpackBatch(basis_.ApplyBatch(z, batch), batch);
+    return linalg::UnpackBatch(basis_.Apply(z, batch), batch);
   }
 
-  // Block PCG, mirroring SolveNormal step for step. tau and the iteration
-  // budget depend only on the strategy, so they are shared verbatim.
+  // Block preconditioned CG on M = Q diag(u) Q^T + D^2 with preconditioner
+  // P = Q diag(u + tau) Q^T, tau = mean completion mass — exact when the
+  // completion diagonal is uniform, a strong approximation otherwise. tau
+  // and the iteration budget depend only on the strategy, so all columns
+  // share them; everything else (alpha, beta, residual norms, stagnation
+  // windows, stopping decisions) is per column.
   double tau = 0;
   for (std::size_t j : completion_cells_) {
     tau += completion_[j] * completion_[j];
@@ -321,22 +230,22 @@ std::vector<Vector> KronStrategy::SolveNormalBatchPacked(Vector packed,
   // four times per iteration. Results are bitwise-unchanged.
   Vector scratch, basis_tmp;
   auto precond_into = [&](const Vector& r, Vector* z) {
-    basis_.ApplyTBatchInto(r, width, &basis_tmp, &scratch);
+    basis_.ApplyTInto(r, width, &basis_tmp, &scratch);
     for (std::size_t j = 0; j < n; ++j) {
       const double d = u_full_[j] + tau;
       double* tj = basis_tmp.data() + j * width;
       for (std::size_t b = 0; b < width; ++b) tj[b] /= d;
     }
-    basis_.ApplyBatchInto(basis_tmp, width, z, &scratch);
+    basis_.ApplyInto(basis_tmp, width, z, &scratch);
   };
   auto normal_matvec_into = [&](const Vector& v, Vector* out) {
-    basis_.ApplyTBatchInto(v, width, &basis_tmp, &scratch);
+    basis_.ApplyTInto(v, width, &basis_tmp, &scratch);
     for (std::size_t j = 0; j < n; ++j) {
       const double u = u_full_[j];
       double* tj = basis_tmp.data() + j * width;
       for (std::size_t b = 0; b < width; ++b) tj[b] *= u;
     }
-    basis_.ApplyBatchInto(basis_tmp, width, out, &scratch);
+    basis_.ApplyInto(basis_tmp, width, out, &scratch);
     for (std::size_t j : completion_cells_) {
       double* oj = out->data() + j * width;
       const double* vj = v.data() + j * width;
@@ -353,21 +262,24 @@ std::vector<Vector> KronStrategy::SolveNormalBatchPacked(Vector packed,
   Vector p = z;
   Vector best_x(n * batch, 0.0);
   std::vector<double> rz(batch), tol2(batch), best_r2(batch), r2(batch);
-  ColDots(r, r, batch, &best_r2);  // = Dot(b, b) per column
+  ColDots(r, r, batch, &best_r2);  // |b|^2 per column
   ColDots(r, z, batch, &rz);
   for (std::size_t b = 0; b < batch; ++b) {
     tol2[b] = rel_tol * rel_tol * std::max(best_r2[b], 1e-300);
   }
   const int max_iter = static_cast<int>(std::min<std::size_t>(8 * n, 20000));
+  // Stagnation guard: when rounding noise keeps a column's residual above
+  // the requested floor, retire it once a window of iterations brings no
+  // improvement instead of burning the full budget.
   constexpr int kStagnationWindow = 50;
   std::vector<int> since_improvement(batch, 0);
   std::vector<char> active(batch, 1);
   std::vector<Vector> out(batch);
   std::size_t num_active = batch;
   std::size_t retired_pending = 0;
-  // Finalizes a column exactly as SolveNormal's epilogue would: the final
-  // residual norm there is recomputed from the (frozen) residual vector, so
-  // it equals the r2 the loop just evaluated for this column.
+  // Finalizes a column: its last iterate, unless the residual norm there
+  // (`final_r2`, the column's current |r|^2) is worse than the best seen,
+  // in which case the best iterate.
   auto finalize = [&](std::size_t b, double final_r2) {
     out[slot_col[b]] = final_r2 <= best_r2[b] ? ExtractColumn(x, width, b)
                                               : ExtractColumn(best_x, width, b);

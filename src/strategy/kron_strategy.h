@@ -9,7 +9,9 @@
 // the normal-equation solve behind least-squares inference) runs in
 // O(n sum d_i) through the vec-trick, which is what lets eigen-designed
 // strategies operate at domain sizes (n >= 2^18) where the dense n x n
-// representation does not fit in memory.
+// representation does not fit in memory. A^T and the normal solve have one
+// implementation each, over column-interleaved blocks: a single vector is
+// a block of width 1, so single and batched calls run the same code.
 #ifndef DPMM_STRATEGY_KRON_STRATEGY_H_
 #define DPMM_STRATEGY_KRON_STRATEGY_H_
 
@@ -53,16 +55,8 @@ class KronStrategy : public LinearStrategy {
   /// A x (length num_queries()).
   linalg::Vector Apply(const linalg::Vector& x) const override;
 
-  /// A^T y (length num_cells()).
+  /// A^T y (length num_cells()): the batched A^T at width 1.
   linalg::Vector ApplyT(const linalg::Vector& y) const override;
-
-  /// A^T applied to B query-answer vectors through one shared eigenbasis
-  /// pass; bit-identical to B ApplyT calls.
-  std::vector<linalg::Vector> ApplyTBatch(
-      const std::vector<linalg::Vector>& ys) const;
-
-  /// (A^T A) v without forming the Gram matrix.
-  linalg::Vector NormalMatVec(const linalg::Vector& v) const;
 
   /// Squared column norms of A (the diagonal of A^T A), in O(n sum d_i).
   linalg::Vector ColumnNormsSquared() const;
@@ -76,27 +70,23 @@ class KronStrategy : public LinearStrategy {
   Strategy Materialize() const override;
 
  protected:
-  /// SolveNormal: without completion rows A^T A is diagonal in the
-  /// eigenbasis and the solve is three implicit applies (minimum-norm /
-  /// pseudo-inverse semantics when columns were truncated); with completion
-  /// rows it runs preconditioned conjugate gradients with the eigenbasis
-  /// diagonal as preconditioner, down to a relative residual of `rel_tol`
+  /// The one normal-equation solver (SolveNormal is this at width 1).
+  /// Without completion rows A^T A is diagonal in the eigenbasis and the
+  /// solve is two basis passes (minimum-norm / pseudo-inverse semantics
+  /// when columns were truncated). With completion rows it runs a block
+  /// preconditioned conjugate gradient with the eigenbasis diagonal as
+  /// preconditioner, down to a relative residual of `rel_tol` per column
   /// (or stagnation, whichever comes first — an unreachable floor never
   /// burns the full iteration budget). The interface default keeps
   /// inference within the 1e-8 dense-agreement contract; the trace-term
-  /// validation path requests ~1e-14.
-  linalg::Vector SolveNormalImpl(const linalg::Vector& b,
-                                 double rel_tol) const override;
-
-  /// SolveNormalBatch: one block iteration drives all systems — the
-  /// eigenbasis applies and the preconditioner run as shared batched passes
-  /// over the interleaved block (KronMatVecBatch), while the CG scalars
-  /// (alpha, beta, residual norms, stagnation windows) stay per-column.
-  /// Every column executes exactly the arithmetic SolveNormal would execute
-  /// on it alone — same iteration count, same stopping decisions — so the
-  /// results are bit-identical to B sequential SolveNormal calls, at a
-  /// fraction of the wall-clock (the shared passes stream batch-contiguous
-  /// spans instead of degenerate stride-1 inner loops).
+  /// validation path requests ~1e-14. The eigenbasis applies and the
+  /// preconditioner run as shared passes over the interleaved block
+  /// (linalg::KronMatVec), while the CG scalars (alpha, beta, residual
+  /// norms, stagnation windows) and stopping decisions stay per column, so
+  /// every column's result is bit-identical whatever batch it was solved
+  /// in — and B systems cost a fraction of B separate solves (the shared
+  /// passes stream batch-contiguous spans instead of degenerate stride-1
+  /// inner loops).
   std::vector<linalg::Vector> SolveNormalBatchImpl(
       const std::vector<linalg::Vector>& bs, double rel_tol) const override;
 
@@ -107,9 +97,11 @@ class KronStrategy : public LinearStrategy {
       const std::vector<linalg::Vector>& ys, double rel_tol) const override;
 
  private:
-  /// As ApplyTBatch, but returns the column-interleaved block (layout of
+  /// A^T applied to B query-answer vectors through one shared eigenbasis
+  /// pass, returned as the column-interleaved block (layout of
   /// linalg::PackBatch) — feed it straight into SolveNormalBatchPacked to
-  /// skip an unpack/repack round-trip between the two stages.
+  /// skip an unpack/repack round-trip between the two stages. Width 1 is
+  /// ApplyT.
   linalg::Vector ApplyTBatchPacked(
       const std::vector<linalg::Vector>& ys) const;
 

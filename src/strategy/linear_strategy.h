@@ -15,6 +15,7 @@
 #define DPMM_STRATEGY_LINEAR_STRATEGY_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -68,14 +69,16 @@ class LinearStrategy {
   // The normal-equation solves behind least-squares inference and the
   // per-query error roots sqrt(w_q (A^T A)^+ w_q^T). Non-virtual entry
   // points so the rel_tol default lives in exactly one place (defaults on
-  // virtuals bind to the static type); engines override the *Impl hooks.
+  // virtuals bind to the static type); each engine implements two hooks,
+  // SolveNormalBatchImpl and (optionally) LeastSquaresBatchImpl, and a
+  // single solve is the batch hook at width 1 — one code path per engine.
   // Semantics: minimum-norm solution of (A^T A) z = b when A^T A is
   // singular. `rel_tol` bounds the iterative engines' relative residual;
   // direct engines (dense) ignore it.
 
   linalg::Vector SolveNormal(const linalg::Vector& b,
                              double rel_tol = 1e-12) const {
-    return SolveNormalImpl(b, rel_tol);
+    return std::move(SolveNormalBatchImpl({b}, rel_tol)[0]);
   }
 
   /// Solves B right-hand sides; entry i is bit-identical to
@@ -95,8 +98,6 @@ class LinearStrategy {
   }
 
  protected:
-  virtual linalg::Vector SolveNormalImpl(const linalg::Vector& b,
-                                         double rel_tol) const = 0;
   virtual std::vector<linalg::Vector> SolveNormalBatchImpl(
       const std::vector<linalg::Vector>& bs, double rel_tol) const = 0;
   /// Column by column through ApplyT and SolveNormal; engines that can share

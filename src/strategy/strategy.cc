@@ -51,22 +51,19 @@ const Strategy::NormalCache& Strategy::Factorization() const {
   return *cache_;
 }
 
-linalg::Vector Strategy::SolveNormalImpl(const linalg::Vector& b,
-                                         double /*rel_tol*/) const {
+linalg::Vector Strategy::SolveColumn(const NormalCache& f,
+                                     const linalg::Vector& b) const {
   DPMM_CHECK_EQ(b.size(), num_cells());
-  const NormalCache& f = Factorization();
   return f.chol.has_value() ? f.chol->Solve(b)
                             : linalg::MatVec(f.gram_pinv, b);
 }
 
 std::vector<linalg::Vector> Strategy::SolveNormalBatchImpl(
-    const std::vector<linalg::Vector>& bs, double rel_tol) const {
-  Factorization();
+    const std::vector<linalg::Vector>& bs, double /*rel_tol*/) const {
+  const NormalCache& f = Factorization();
   std::vector<linalg::Vector> out(bs.size());
   ParallelFor(0, bs.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      out[k] = SolveNormalImpl(bs[k], rel_tol);
-    }
+    for (std::size_t k = lo; k < hi; ++k) out[k] = SolveColumn(f, bs[k]);
   });
   return out;
 }

@@ -50,10 +50,8 @@ class Strategy : public LinearStrategy {
   // e.g. the paper's Fig. 2 output) the minimum-norm solution through
   // (A^T A)^+ = A^+ (A^+)^T. Factored once on first use (thread-safe; copies
   // share the cache); rel_tol is ignored — the solve is direct. The batch
-  // solves its columns in parallel, each exactly as a solo solve, so batched
-  // answers are bit-identical to solo ones.
-  linalg::Vector SolveNormalImpl(const linalg::Vector& b,
-                                 double rel_tol) const override;
+  // solves its columns independently and in parallel, so a column's answer
+  // does not depend on the batch (SolveNormal is this at width 1).
   std::vector<linalg::Vector> SolveNormalBatchImpl(
       const std::vector<linalg::Vector>& bs, double rel_tol) const override;
 
@@ -71,6 +69,10 @@ class Strategy : public LinearStrategy {
   // nothing the once_flag doesn't already. The analyzer cannot model
   // once_flag, hence the suppression.
   const NormalCache& Factorization() const DPMM_NO_THREAD_SAFETY_ANALYSIS;
+
+  /// One column of SolveNormalBatchImpl against the cached factorization.
+  linalg::Vector SolveColumn(const NormalCache& f,
+                             const linalg::Vector& b) const;
 
   linalg::Matrix a_;
   std::string name_;

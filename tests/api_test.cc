@@ -1,6 +1,6 @@
 // The unified strategy/mechanism API (ctest label `api`): the
 // LinearStrategy interface, the Design() engine decision rule, the one
-// Mechanism, and the v2 artifact format's dense payload kind.
+// Mechanism, and the artifact format's dense payload kind.
 // The load-bearing contracts:
 //   * fixed-seed releases through the Design()/Mechanism path are
 //     byte-identical to Prop. 3 written out by hand in this file (same Rng,
@@ -9,7 +9,6 @@
 //   * dense strategy artifacts are save -> load -> save byte-stable and
 //     reject corruption/truncation at every prefix length (mirroring the
 //     kron suite);
-//   * v1 (kron-only) artifacts still decode;
 //   * strategy_io files ride the dense artifact kind; anything else is
 //     rejected.
 #include <cmath>
@@ -355,7 +354,7 @@ TEST(ReleaseBatch, DenseEngineMatchesSequentialReleases) {
   EXPECT_EQ(batch_rng.NextU64(), seq_rng.NextU64());
 }
 
-// ---- Dense artifact kind (format v2)
+// ---- Dense artifact kind
 
 StrategyArtifact DenseArtifact(const ExplicitWorkload& w,
                                const std::string& spec) {
@@ -506,71 +505,6 @@ TEST(DenseArtifact, RowCountOverflowLengthBombRejected) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("dimensions"), std::string::npos)
       << decoded.status().message();
-}
-
-// ---- v1 compatibility
-
-TEST(ArtifactCompat, V1KronStrategyArtifactStillLoads) {
-  AllRangeWorkload w(Domain({4, 4}));
-  auto design = Design(w);
-  ASSERT_TRUE(design.ok());
-  StrategyArtifact artifact;
-  artifact.signature = "allrange@4,4";
-  artifact.domain_sizes = w.domain().sizes();
-  artifact.strategy = design.ValueOrDie().strategy;
-  artifact.solver_report = design.ValueOrDie().solver_report;
-  artifact.duality_gap = design.ValueOrDie().duality_gap;
-  artifact.rank = design.ValueOrDie().rank;
-
-  const std::string v1_bytes =
-      serialize::internal::EncodeStrategyArtifactV1(artifact);
-  auto decoded = DecodeStrategyArtifact(v1_bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const StrategyArtifact& loaded = decoded.ValueOrDie();
-  EXPECT_EQ(loaded.engine(), StrategyEngine::kKron);
-  EXPECT_EQ(loaded.signature, artifact.signature);
-  EXPECT_EQ(loaded.duality_gap, artifact.duality_gap);
-
-  // The v1-loaded strategy behaves bit-identically to the original.
-  const Vector x = RandomData(w.num_cells(), 5);
-  EXPECT_EQ(loaded.strategy->Apply(x), artifact.strategy->Apply(x));
-  EXPECT_EQ(loaded.strategy->SolveNormal(x), artifact.strategy->SolveNormal(x));
-
-  // v1 truncation is rejected at every prefix too — the compat path keeps
-  // the strictness contract.
-  for (std::size_t len = 0; len < v1_bytes.size(); len += 9) {
-    ASSERT_FALSE(DecodeStrategyArtifact(v1_bytes.substr(0, len)).ok());
-  }
-
-  // Re-encoding writes the current version; the upgrade round-trips.
-  const std::string v2_bytes = EncodeStrategyArtifact(loaded);
-  auto upgraded = DecodeStrategyArtifact(v2_bytes);
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_EQ(upgraded.ValueOrDie().strategy->Apply(x),
-            artifact.strategy->Apply(x));
-}
-
-TEST(ArtifactCompat, V1ReleaseArtifactStillLoads) {
-  serialize::ReleaseArtifact rel;
-  rel.signature = "allrange@4,4";
-  rel.domain_sizes = {4, 4};
-  rel.budget = {0.25, 5e-5};
-  rel.dataset = "hist.csv";
-  rel.seed = 42;
-  rel.batch_index = 3;
-  rel.x_hat = RandomData(16, 7);
-  // The release payload was identical in v1 and v2 (the version field,
-  // header, not checksummed, was the only difference); v3 appended the
-  // supersession link, so the legacy encoder plus a version-byte patch
-  // reproduces genuine v1 bytes.
-  std::string bytes = serialize::internal::EncodeReleaseArtifactV2(rel);
-  bytes[8] = 1;
-  auto decoded = serialize::DecodeReleaseArtifact(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.ValueOrDie().x_hat, rel.x_hat);
-  // Unknown future versions stay rejected.
-  bytes[8] = 4;
-  EXPECT_FALSE(serialize::DecodeReleaseArtifact(bytes).ok());
 }
 
 // ---- strategy_io on the dense artifact kind

@@ -101,47 +101,88 @@ TEST(PackBatch, RoundTripsInterleavedLayout) {
   EXPECT_EQ(UnpackBatch(packed, 3), xs);
 }
 
-TEST(KronMatVecBatch, BitIdenticalToSingleVectorCalls) {
-  // The contract behind batched releases: each interleaved vector's result
-  // must equal KronMatVec on that vector alone *bitwise*, across shapes
-  // (including rectangular factors and a span wide enough to tile).
+// The textbook vec-trick on one vector, as an independent reference for
+// the kernel: plain loops, no thread pool, no tiling or register blocking,
+// one axis at a time, each output accumulating over ci in ascending order
+// and skipping zero factor entries — the per-element arithmetic KronMatVec
+// promises at every batch width, so the comparison is bitwise.
+Vector NaiveKronMatVec(const std::vector<Matrix>& factors, const Vector& x) {
+  std::vector<std::size_t> dims;
+  for (const auto& f : factors) dims.push_back(f.cols());
+  Vector cur = x;
+  for (std::size_t axis = 0; axis < factors.size(); ++axis) {
+    const Matrix& f = factors[axis];
+    std::size_t outer = 1, stride = 1;
+    for (std::size_t i = 0; i < axis; ++i) outer *= dims[i];
+    for (std::size_t i = axis + 1; i < dims.size(); ++i) stride *= dims[i];
+    Vector next(outer * f.rows() * stride, 0.0);
+    for (std::size_t o = 0; o < outer; ++o) {
+      for (std::size_t ri = 0; ri < f.rows(); ++ri) {
+        for (std::size_t ci = 0; ci < f.cols(); ++ci) {
+          const double fv = f(ri, ci);
+          if (fv == 0.0) continue;
+          for (std::size_t s = 0; s < stride; ++s) {
+            next[(o * f.rows() + ri) * stride + s] +=
+                fv * cur[(o * f.cols() + ci) * stride + s];
+          }
+        }
+      }
+    }
+    dims[axis] = f.rows();
+    cur = std::move(next);
+  }
+  return cur;
+}
+
+TEST(KronMatVec, EveryBatchWidthBitIdenticalToNaiveReference) {
+  // The contract behind batched releases and single applies alike: each
+  // interleaved vector's result equals the naive vec-trick on that vector
+  // alone *bitwise*, at every width (1 is the single-vector call), across
+  // rectangular factors and a factor with zero entries (the skip path).
   Rng rng(13);
-  const std::vector<Matrix> factors = {RandomMatrix(3, 2, &rng),
-                                       RandomMatrix(4, 4, &rng),
-                                       RandomMatrix(2, 3, &rng)};
+  std::vector<Matrix> factors = {RandomMatrix(3, 2, &rng),
+                                 RandomMatrix(4, 4, &rng),
+                                 RandomMatrix(2, 3, &rng)};
+  factors[1](0, 2) = 0.0;
+  factors[1](3, 1) = 0.0;
   for (std::size_t batch : {1u, 2u, 7u}) {
     std::vector<Vector> xs(batch, Vector(2 * 4 * 3));
     for (auto& x : xs) {
       for (auto& v : x) v = rng.Gaussian();
     }
-    const Vector out = KronMatVecBatch(factors, PackBatch(xs), batch);
-    const std::vector<Vector> got = UnpackBatch(out, batch);
+    const std::vector<Vector> got =
+        UnpackBatch(KronMatVec(factors, PackBatch(xs), batch), batch);
     for (std::size_t b = 0; b < batch; ++b) {
-      EXPECT_EQ(got[b], KronMatVec(factors, xs[b])) << "batch " << batch
-                                                    << " vector " << b;
+      EXPECT_EQ(got[b], NaiveKronMatVec(factors, xs[b]))
+          << "batch " << batch << " vector " << b;
     }
   }
+  // Width 1 is the plain vector, with no packing step at all.
+  EXPECT_EQ(KronMatVec(factors, Vector(24, 0.5)),
+            NaiveKronMatVec(factors, Vector(24, 0.5)));
 }
 
-TEST(KronMatVecBatch, TiledWidePassStaysBitIdentical) {
+TEST(KronMatVec, TiledWidePassStaysBitIdentical) {
   // Exercises the L2-tiling path: the tile budget is (1 MiB)/((c+r)*8) =
   // 1024 elements for 64x64 factors, and axis 0 spans stride * batch =
   // 64 * 160 = 10240 elements — 10 tiles per span, the same splitting the
-  // production batch-release sizes hit. Tiling reorders across elements
-  // only, so results must still match the untiled single-vector pass
-  // exactly.
+  // production batch-release sizes hit. Width 1 spans 64 elements, one
+  // tile. Tiling reorders across elements only, so every width must match
+  // the naive reference exactly.
   Rng rng(17);
   const std::vector<Matrix> factors = {RandomMatrix(64, 64, &rng),
                                        RandomMatrix(64, 64, &rng)};
-  const std::size_t batch = 160;
-  std::vector<Vector> xs(batch, Vector(64 * 64));
-  for (auto& x : xs) {
-    for (auto& v : x) v = rng.Gaussian();
-  }
-  const std::vector<Vector> got =
-      UnpackBatch(KronMatVecBatch(factors, PackBatch(xs), batch), batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    ASSERT_EQ(got[b], KronMatVec(factors, xs[b])) << "vector " << b;
+  for (std::size_t batch : {1u, 160u}) {
+    std::vector<Vector> xs(batch, Vector(64 * 64));
+    for (auto& x : xs) {
+      for (auto& v : x) v = rng.Gaussian();
+    }
+    const std::vector<Vector> got =
+        UnpackBatch(KronMatVec(factors, PackBatch(xs), batch), batch);
+    for (std::size_t b = 0; b < batch; ++b) {
+      ASSERT_EQ(got[b], NaiveKronMatVec(factors, xs[b]))
+          << "batch " << batch << " vector " << b;
+    }
   }
 }
 

@@ -231,33 +231,31 @@ TEST(ReleaseArtifact, SupersessionRoundTripsInV3) {
   EXPECT_FALSE(fresh.ValueOrDie().has_supersedes());
 }
 
-TEST(ReleaseArtifact, LegacyV2StillDecodes) {
-  // A v2 release (written before the supersession field existed) must keep
-  // decoding, reading as "supersedes nothing" — the store's migration path
-  // depends on old artifacts staying servable without rewrites.
-  const ReleaseArtifact rel = SampleRelease("allrange@4,4", {4, 4}, 16);
-  const std::string v2 = serialize::internal::EncodeReleaseArtifactV2(rel);
-  ASSERT_NE(v2, EncodeReleaseArtifact(rel));  // the layouts really differ
-  auto decoded = DecodeReleaseArtifact(v2);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const ReleaseArtifact& loaded = decoded.ValueOrDie();
-  EXPECT_FALSE(loaded.has_supersedes());
-  EXPECT_EQ(loaded.x_hat, rel.x_hat);
-  EXPECT_EQ(loaded.dataset, rel.dataset);
-  EXPECT_EQ(loaded.seed, rel.seed);
-  EXPECT_EQ(loaded.batch_index, rel.batch_index);
-  // Re-encoding upgrades to the current version, bit-identically otherwise.
-  EXPECT_EQ(EncodeReleaseArtifact(loaded), EncodeReleaseArtifact(rel));
-}
-
-TEST(StrategyArtifact, LegacyV1StillDecodes) {
+TEST(Artifact, OnlyTheCurrentVersionDecodes) {
+  // No compatibility decoders: an artifact whose version field (it follows
+  // the 8-byte magic, outside the checksummed payload) names any version
+  // other than the current one is refused, older layouts included.
   AllRangeWorkload w(Domain({4, 4}));
-  const StrategyArtifact artifact = DesignArtifact(w, "allrange@4,4");
-  const std::string v1 = serialize::internal::EncodeStrategyArtifactV1(artifact);
-  auto decoded = DecodeStrategyArtifact(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(EncodeStrategyArtifact(decoded.ValueOrDie()),
-            EncodeStrategyArtifact(artifact));
+  const std::string strategy =
+      EncodeStrategyArtifact(DesignArtifact(w, "allrange@4,4"));
+  const std::string release =
+      EncodeReleaseArtifact(SampleRelease("allrange@4,4", {4, 4}, 16));
+  ASSERT_EQ(static_cast<std::uint32_t>(strategy[8]),
+            serialize::kArtifactVersion);
+  for (char version : {1, 2, 4}) {
+    std::string s = strategy;
+    std::string r = release;
+    s[8] = version;
+    r[8] = version;
+    const Status strategy_st = DecodeStrategyArtifact(s).status();
+    const Status release_st = DecodeReleaseArtifact(r).status();
+    for (const Status& st : {strategy_st, release_st}) {
+      EXPECT_EQ(st.code(), StatusCode::kIoError) << int{version};
+      EXPECT_NE(st.message().find("unsupported artifact version"),
+                std::string::npos)
+          << st.message();
+    }
+  }
 }
 
 TEST(Fnv1a64, KnownVectorsAndStability) {

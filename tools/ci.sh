@@ -6,7 +6,7 @@
 # over the concurrency-sensitive tests (the persistent thread pool behind
 # ParallelFor, the lazily initialized Kronecker eigenbasis variants, and the
 # batched release engine built on both). Tier-1 ends with a smoke run of the
-# benchmark (perfbench/). Run from anywhere; operates on the repository that
+# benchmark (perfbench/) on the dense and the Kron engine. Run from anywhere; operates on the repository that
 # contains this script.
 #
 #   tools/ci.sh                 # full cycle: lint -> tsafety -> asan -> tier-1 (+ perfbench smoke) -> tsan
@@ -119,22 +119,26 @@ ctest --test-dir build --output-on-failure -L obs
 
 echo "==== api: unified strategy/mechanism API (ctest -L api) ===="
 # LinearStrategy interface, Design() engine selection, Mechanism bit-identity
-# vs a hand-written Prop. 3 reference, the v2 dense artifact kind, and the
+# vs a hand-written Prop. 3 reference, the dense artifact kind, and the
 # CLI's dense design --save -> release --store -> serve loop.
 ctest --test-dir build --output-on-failure -L api
 
 ctest --test-dir build --output-on-failure -j4
 
-echo "==== perfbench: benchmark smoke run (adhoc, 1 s, untraced + traced) ===="
+echo "==== perfbench: benchmark smoke run (adhoc + serve, 1 s, untraced + traced) ===="
 # The benchmark builds from this checkout and drives the public API
 # with its own correctness checks (store re-read digests, ledger totals,
-# error ratios); run.py exits nonzero when the build, the run or a check
-# fails, so an API change that breaks the benchmark fails CI here.
+# error ratios, served values and error bars); run.py exits nonzero when
+# the build, the run or a check fails, so an API change that breaks the
+# benchmark fails CI here. adhoc runs the dense engine; serve runs the Kron
+# engine, whose cold roots are width-1 block-PCG solves.
 PERF_RESULTS="$(mktemp -d)"
 trap 'rm -rf "${PERF_RESULTS}"' EXIT
-for trace in 0 1; do
-  python3 perfbench/run.py --workload adhoc --seed 1 --seconds 1 \
-    --trace "${trace}" --results "${PERF_RESULTS}/trace${trace}"
+for workload in adhoc serve; do
+  for trace in 0 1; do
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+      --trace "${trace}" --results "${PERF_RESULTS}/trace${trace}"
+  done
 done
 
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then

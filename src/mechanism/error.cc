@@ -1,10 +1,9 @@
 #include "mechanism/error.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/blas.h"
-#include "linalg/cholesky.h"
-#include "linalg/eigen_sym.h"
 
 namespace dpmm {
 
@@ -15,6 +14,7 @@ double PFactor(const ErrorOptions& opts) {
   const double delta = opts.privacy.delta;
   DPMM_CHECK_GT(eps, 0.0);
   DPMM_CHECK_GT(delta, 0.0);
+  DPMM_CHECK_LT(delta, 1.0);
   if (opts.convention == ErrorConvention::kLegacyExample4) {
     return std::log2(2.0 / delta) / (eps * eps);
   }
@@ -30,59 +30,57 @@ double ErrorFromTrace(double sensitivity, double trace_term,
   return std::sqrt(err2);
 }
 
+std::size_t NormalSolveWidth(std::size_t num_cells) {
+  // One block of right-hand sides stays within this budget, so the solver's
+  // working set (a few blocks) is bounded at every domain size.
+  constexpr std::size_t kBlockBytes = std::size_t{512} << 10;
+  const std::size_t fit =
+      kBlockBytes / (sizeof(double) * std::max<std::size_t>(num_cells, 1));
+  return std::clamp<std::size_t>(fit, 1, 32);
+}
+
+void ForEachNormalSolve(
+    const LinearStrategy& a, std::size_t count,
+    const std::function<linalg::Vector(std::size_t)>& row,
+    const std::function<void(std::size_t, const linalg::Vector&,
+                             const linalg::Vector&)>& visit,
+    double rel_tol) {
+  const std::size_t width = NormalSolveWidth(a.num_cells());
+  std::vector<linalg::Vector> rows;
+  for (std::size_t i0 = 0; i0 < count; i0 += width) {
+    const std::size_t i1 = std::min(count, i0 + width);
+    rows.clear();
+    for (std::size_t i = i0; i < i1; ++i) rows.push_back(row(i));
+    const std::vector<linalg::Vector> solves =
+        a.SolveNormalBatch(rows, rel_tol);
+    for (std::size_t i = i0; i < i1; ++i) {
+      visit(i, rows[i - i0], solves[i - i0]);
+    }
+  }
+}
+
+linalg::Vector QueryRoots(
+    const LinearStrategy& a, std::size_t count,
+    const std::function<linalg::Vector(std::size_t)>& row) {
+  linalg::Vector roots(count);
+  ForEachNormalSolve(a, count, row,
+                     [&](std::size_t i, const linalg::Vector& b,
+                         const linalg::Vector& z) {
+                       roots[i] = std::sqrt(std::max(0.0, linalg::Dot(b, z)));
+                     });
+  return roots;
+}
+
 double TraceTerm(const Matrix& workload_gram, const Strategy& a) {
   DPMM_CHECK_EQ(workload_gram.rows(), a.num_cells());
-  Matrix ata = a.Gram();
-  const std::size_t n = ata.rows();
-  // Positive-definite strategies take a *jitter-free* Cholesky solve of the
-  // Jacobi-equilibrated system: with D = diag(ata)^{-1/2}, factor
-  // S = D ata D (unit diagonal) and use
-  // trace(G (A^T A)^{-1}) = trace(S^{-1} (D G D)) — exact to rounding.
-  // The former jittered factorization (1e-12 relative to the *mean*
-  // diagonal) perturbed the smallest solver weights u_min by
-  // O(jitter / u_min): an accuracy floor of ~1e-4 relative once weights
-  // span six orders of magnitude. Strategies whose normal matrix is not
-  // numerically PD now go straight to the spectral pseudo-inverse below
-  // (valid when the workload lies in the strategy's row space), which has
-  // no such floor, instead of a jittered factorization that did.
-  bool scalable = true;
-  linalg::Vector dscale(n, 1.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double djj = ata(j, j);
-    if (!(djj > 0.0)) {
-      scalable = false;  // zero strategy column: singular, take the pinv path
-      break;
-    }
-    dscale[j] = 1.0 / std::sqrt(djj);
-  }
-  if (scalable) {
-    Matrix scaled = ata;
-    for (std::size_t i = 0; i < n; ++i) {
-      double* row = scaled.RowPtr(i);
-      for (std::size_t j = 0; j < n; ++j) row[j] *= dscale[i] * dscale[j];
-    }
-    auto chol = linalg::Cholesky::Factor(scaled);
-    if (chol.ok()) {
-      Matrix g_scaled = workload_gram;
-      for (std::size_t i = 0; i < n; ++i) {
-        double* row = g_scaled.RowPtr(i);
-        for (std::size_t j = 0; j < n; ++j) row[j] *= dscale[i] * dscale[j];
-      }
-      Matrix x = chol.ValueOrDie().Solve(g_scaled);
-      return x.Trace();
-    }
-  }
-  auto eig = linalg::SymmetricEigen(ata).ValueOrDie();
-  double max_ev = 0;
-  for (double v : eig.values) max_ev = std::max(max_ev, v);
-  const double cut = 1e-12 * max_ev;
-  // trace(G (A^T A)^+) = sum_i (v_i^T G v_i) / ev_i over nonzero ev.
+  // trace(G (A^T A)^+) = sum_j e_j^T (A^T A)^+ g_j over the columns g_j of G.
   double tr = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (eig.values[j] <= cut) continue;
-    const linalg::Vector vj = eig.vectors.Col(j);
-    tr += linalg::Dot(vj, linalg::MatVec(workload_gram, vj)) / eig.values[j];
-  }
+  ForEachNormalSolve(
+      a, workload_gram.cols(),
+      [&](std::size_t j) { return workload_gram.Col(j); },
+      [&](std::size_t j, const linalg::Vector&, const linalg::Vector& z) {
+        tr += z[j];
+      });
   return tr;
 }
 
@@ -102,18 +100,22 @@ double TraceTerm(const linalg::Vector& gram_eigenvalues,
   }
   // Completion rows break the diagonal structure; solve the normal
   // equations once per nonzero eigendirection: tr = sum_j g_j q_j^T M^-1 q_j.
-  double tr = 0;
   double max_g = 0;
   for (double g : gram_eigenvalues) max_g = std::max(max_g, g);
+  std::vector<std::size_t> dirs;
   for (std::size_t j = 0; j < gram_eigenvalues.size(); ++j) {
-    const double g = gram_eigenvalues[j];
-    if (g <= 1e-15 * max_g) continue;
-    const linalg::Vector qj = a.basis().Column(j);
-    // Validation-grade accuracy: the quadratic form divides by small
-    // completion masses, where a 1e-10 residual would show up at ~1e-4.
-    const linalg::Vector z = a.SolveNormal(qj, 1e-14);
-    tr += g * linalg::Dot(qj, z);
+    if (gram_eigenvalues[j] > 1e-15 * max_g) dirs.push_back(j);
   }
+  // Validation-grade accuracy: the quadratic form divides by small
+  // completion masses, where a 1e-10 residual would show up at ~1e-4.
+  double tr = 0;
+  ForEachNormalSolve(
+      a, dirs.size(),
+      [&](std::size_t i) { return a.basis().Column(dirs[i]); },
+      [&](std::size_t i, const linalg::Vector& q, const linalg::Vector& z) {
+        tr += gram_eigenvalues[dirs[i]] * linalg::Dot(q, z);
+      },
+      1e-14);
   return tr;
 }
 

@@ -7,8 +7,11 @@
 // the printed Example-4 numbers do not; Example 4 additionally uses
 // P = log2(2/delta)/eps^2 (verified against the published 45.36 / 34.62 /
 // 29.79 / 29.18). All cross-strategy ratios are convention-invariant.
+
 #ifndef DPMM_MECHANISM_ERROR_H_
 #define DPMM_MECHANISM_ERROR_H_
+
+#include <functional>
 
 #include "linalg/matrix.h"
 #include "mechanism/privacy.h"
@@ -40,10 +43,34 @@ double PFactor(const ErrorOptions& opts);
 double ErrorFromTrace(double sensitivity, double trace_term,
                       std::size_t num_queries, const ErrorOptions& opts);
 
-/// trace(G_w (A^T A)^{-1}), the strategy-dependent part of Prop. 4. Uses a
-/// Cholesky solve when A^T A is positive definite and falls back to the
-/// pseudo-inverse for rank-deficient strategies (valid when the workload
-/// lies in the strategy's row space).
+/// Rows per block of ForEachNormalSolve over a domain of `num_cells` cells:
+/// as many right-hand sides as fit one 512 KiB block, capped at 32 and at
+/// least one (32 up to n = 2048, 2 at n = 32^3).
+std::size_t NormalSolveWidth(std::size_t num_cells);
+
+/// The one solve loop behind every Prop. 4 quantity (error bars, served
+/// roots, trace terms): solves (A^T A) z_i = row(i) for i < count through
+/// a.SolveNormalBatch, one chunk of NormalSolveWidth(n) rows at a time, and
+/// calls visit(i, row(i), z_i) in index order. Every z_i is bit-identical
+/// to a solo a.SolveNormal, so chunking never changes a result.
+void ForEachNormalSolve(
+    const LinearStrategy& a, std::size_t count,
+    const std::function<linalg::Vector(std::size_t)>& row,
+    const std::function<void(std::size_t, const linalg::Vector&,
+                             const linalg::Vector&)>& visit,
+    double rel_tol = LinearStrategy::kDefaultRelTol);
+
+/// The budget-independent Def. 5 roots sqrt(b_i (A^T A)^+ b_i^T) of `count`
+/// query rows, over ForEachNormalSolve. A query's standard deviation under
+/// noise scale sigma is sigma times its root.
+linalg::Vector QueryRoots(
+    const LinearStrategy& a, std::size_t count,
+    const std::function<linalg::Vector(std::size_t)>& row);
+
+/// trace(G_w (A^T A)^+), the strategy-dependent part of Prop. 4, as
+/// sum_j (z_j)_j with z_j solved against column j of G_w by
+/// ForEachNormalSolve: the error bars' solve and definition of zero. Valid
+/// for rank-deficient strategies when the workload lies in their row space.
 double TraceTerm(const linalg::Matrix& workload_gram, const Strategy& a);
 
 /// Workload error of answering a workload with Gram matrix `workload_gram`
@@ -62,9 +89,10 @@ double StrategyError(const Workload& w, const Strategy& a,
 /// produced by Workload::ImplicitEigen). Without completion rows both
 /// matrices are diagonal in the shared basis and the trace is an O(n) sum;
 /// with completion rows each nonzero eigendirection takes one implicit
-/// normal-equation solve (exact, but O(n) solves — meant for validation, not
-/// the hot path; the hot path reports the pre-completion predicted
-/// objective, an upper bound since completion only adds rows).
+/// normal-equation solve through ForEachNormalSolve at rel_tol 1e-14 (exact,
+/// but O(n) solves — meant for validation, not the hot path; the hot path
+/// reports the pre-completion predicted objective, an upper bound since
+/// completion only adds rows).
 double TraceTerm(const linalg::Vector& gram_eigenvalues,
                  const KronStrategy& a);
 

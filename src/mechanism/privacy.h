@@ -9,7 +9,9 @@
 
 namespace dpmm {
 
-/// (eps, delta) privacy budget. delta == 0 selects pure eps-DP (Laplace).
+/// (eps, delta) privacy budget. The Gaussian calibration needs eps > 0 and
+/// 0 < delta < 1; pure eps-DP (Laplace) is selected by the mechanism's
+/// noise kind (Mechanism::NoiseKind), which reads only epsilon.
 struct PrivacyParams {
   double epsilon = 0.5;
   double delta = 1e-4;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
-#include "linalg/blas.h"
+#include "mechanism/error.h"
 #include "mechanism/matrix_mechanism.h"
 #include "util/trace.h"
 
@@ -67,15 +66,9 @@ linalg::Vector QueryErrorProfile(const ExplicitWorkload& workload,
   const linalg::Matrix& w = *workload.matrix();
   DPMM_CHECK_EQ(w.cols(), strategy.num_cells());
   const double sigma = GaussianNoiseScale(privacy, strategy.L2Sensitivity());
-  // Var(q) = sigma^2 * w_q (A^T A)^+ w_q^T, solved through the strategy's
-  // engine so rank-deficient strategies are handled uniformly (minimum-norm
-  // semantics on both engines).
-  linalg::Vector out(w.rows());
-  for (std::size_t q = 0; q < w.rows(); ++q) {
-    const linalg::Vector wq = w.Row(q);
-    const linalg::Vector z = strategy.SolveNormal(wq);
-    out[q] = sigma * std::sqrt(std::max(0.0, linalg::Dot(wq, z)));
-  }
+  linalg::Vector out =
+      QueryRoots(strategy, w.rows(), [&](std::size_t q) { return w.Row(q); });
+  for (double& sd : out) sd *= sigma;
   return out;
 }
 
@@ -105,32 +98,12 @@ BatchReleaseResult ReleaseBatch(const LinearStrategy& strategy,
     const linalg::Matrix& w = *workload->matrix();
     DPMM_CHECK_EQ(w.cols(), strategy.num_cells());
     // The roots sqrt(w_q (A^T A)^+ w_q^T) do not depend on the budget:
-    // block-solve them once, then scale per release. Rows go through the
-    // block solve in bounded chunks — each live block buffer is
-    // n * chunk doubles, so an unbounded query count cannot balloon the
-    // solver's working set. Chunking cannot change results: every column's
-    // solve is bit-identical to its solo SolveNormal regardless of which
-    // batch it rides in.
-    constexpr std::size_t kProfileChunk = 32;
-    linalg::Vector roots(w.rows());
-    for (std::size_t q0 = 0; q0 < w.rows(); q0 += kProfileChunk) {
-      const std::size_t q1 = std::min(w.rows(), q0 + kProfileChunk);
-      std::vector<linalg::Vector> rows(q1 - q0);
-      for (std::size_t q = q0; q < q1; ++q) rows[q - q0] = w.Row(q);
-      const std::vector<linalg::Vector> solves =
-          strategy.SolveNormalBatch(rows);
-      for (std::size_t q = q0; q < q1; ++q) {
-        roots[q] = std::sqrt(
-            std::max(0.0, linalg::Dot(rows[q - q0], solves[q - q0])));
-      }
-    }
-    out.error_profiles.resize(batch);
+    // solve them once, then scale per release.
+    const linalg::Vector roots = QueryRoots(
+        strategy, w.rows(), [&](std::size_t q) { return w.Row(q); });
+    out.error_profiles.assign(batch, roots);
     for (std::size_t b = 0; b < batch; ++b) {
-      linalg::Vector profile(w.rows());
-      for (std::size_t q = 0; q < w.rows(); ++q) {
-        profile[q] = sigmas[b] * roots[q];
-      }
-      out.error_profiles[b] = std::move(profile);
+      for (double& sd : out.error_profiles[b]) sd *= sigmas[b];
     }
   }
   return out;

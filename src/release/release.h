@@ -41,9 +41,10 @@ std::vector<PrivacyParams> SplitBudget(const PrivacyParams& total,
 /// Standard deviation of each query of an explicit workload under the
 /// matrix mechanism with the given strategy (any engine):
 /// sd_q = sigma * sqrt(w_q (A^T A)^+ w_q^T) (Def. 5 / Prop. 4 per-query
-/// error), one normal-equation solve per query through the strategy's
-/// engine — the dense path solves against its cached factorization, the
-/// implicit path never forms an n x n matrix at all.
+/// error): sigma times QueryRoots (mechanism/error.h), the one chunked
+/// solve loop, whose every root is bit-identical to a solo normal solve —
+/// the dense path solves against its cached factorization, the implicit
+/// path never forms an n x n matrix at all.
 linalg::Vector QueryErrorProfile(const ExplicitWorkload& workload,
                                  const LinearStrategy& strategy,
                                  const PrivacyParams& privacy);

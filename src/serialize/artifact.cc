@@ -477,8 +477,10 @@ Result<ReleaseArtifact> DecodeReleaseArtifact(const std::string& bytes) {
   if (!r.F64(&out.budget.epsilon) || !r.F64(&out.budget.delta)) {
     return Truncated("budget");
   }
+  // A stored release is a Gaussian-mechanism output: 0 < delta < 1 (the
+  // comparisons are false for NaN).
   if (!std::isfinite(out.budget.epsilon) || out.budget.epsilon <= 0 ||
-      !std::isfinite(out.budget.delta) || out.budget.delta < 0) {
+      !(out.budget.delta > 0 && out.budget.delta < 1)) {
     return Status::IoError("artifact budget invalid");
   }
   if (!r.Str(&out.dataset)) return Truncated("dataset label");

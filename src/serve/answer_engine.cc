@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "mechanism/error.h"
 #include "mechanism/privacy.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -12,13 +13,6 @@ namespace dpmm {
 namespace serve {
 
 namespace {
-
-/// Uncached roots of one batch go through the block solve in bounded
-/// chunks, mirroring release::ReleaseBatch's profile chunking: each live
-/// block buffer is n * chunk doubles, so an arbitrarily large client batch
-/// cannot balloon the solver's working set. Chunking never changes results
-/// — every column's solve is bit-identical to its solo SolveNormal.
-constexpr std::size_t kRootChunk = 32;
 
 /// Registry instruments, resolved once. Recording is pure observation —
 /// answers and released bytes are computed exactly as before.
@@ -70,6 +64,13 @@ Result<AnswerEngine> AnswerEngine::Create(
   if (root_cache_capacity == 0) {
     return Status::InvalidArgument("root cache capacity must be positive");
   }
+  // Refuse a budget the Gaussian calibration would abort on (NaN included).
+  const PrivacyParams& budget = release->budget;
+  if (!(budget.epsilon > 0 && std::isfinite(budget.epsilon)) ||
+      !(budget.delta > 0 && budget.delta < 1)) {
+    return Status::InvalidArgument(
+        "release budget must have epsilon > 0 and 0 < delta < 1");
+  }
   const double sigma = GaussianNoiseScale(
       release->budget, strategy->strategy->L2Sensitivity());
   return AnswerEngine(std::move(strategy), std::move(release),
@@ -105,36 +106,63 @@ std::string AnswerEngine::CacheKey(const query::Predicate& predicate) const {
   return key;
 }
 
-double AnswerEngine::RootFor(const std::string& key,
-                             const linalg::Vector& row) const {
+void AnswerEngine::AnswerChunk(const query::Predicate* predicates,
+                               std::size_t count, Answer* answers) const {
   EngineMetrics& m = Instruments();
   PerfContext* perf = GetPerfContext();
-  ++perf->root_cache_probes;
+  std::vector<linalg::Vector> rows(count);
+  std::vector<std::string> keys(count);
+  std::vector<double> roots(count, 0.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    rows[i] = predicates[i].ToRow(domain_);
+    keys[i] = CacheKey(predicates[i]);
+    answers[i].value = linalg::Dot(rows[i], release_->x_hat);
+  }
+
+  // Resolve cached keys and collect the distinct misses (duplicates within
+  // the chunk solve once).
+  std::vector<std::size_t> miss_rep;  // representative index per new key
+  std::unordered_map<std::string, std::size_t> miss_slot;
+  perf->root_cache_probes += count;
   {
     MutexLock lock(&cache_->mu);
-    if (const double* hit = cache_->roots.Get(key)) {
-      ++cache_->hits;
-      m.cache_hit->Add(1);
-      ++perf->root_cache_hits;
-      return *hit;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (const double* hit = cache_->roots.Get(keys[i])) {
+        roots[i] = *hit;
+        ++cache_->hits;
+        m.cache_hit->Add(1);
+        ++perf->root_cache_hits;
+      } else if (miss_slot.emplace(keys[i], miss_rep.size()).second) {
+        miss_rep.push_back(i);
+      }
     }
   }
-  m.cache_miss->Add(1);
-  ++perf->root_solves;
+  m.cache_miss->Add(miss_rep.size());
+  perf->root_solves += miss_rep.size();
+
   // Solve outside the lock so concurrent readers make progress; racing
-  // solvers of the same key compute the identical value, so last-writer-
-  // wins insertion is harmless.
-  double root;
-  {
-    PerfTimer solve_timer(&perf->normal_solve_ns);
-    const linalg::Vector z = strategy_->strategy->SolveNormal(row);
-    root = std::sqrt(std::max(0.0, linalg::Dot(row, z)));
+  // solvers of the same key compute the identical root, so last-writer-wins
+  // insertion is harmless.
+  linalg::Vector miss_roots;
+  if (!miss_rep.empty()) {
+    {
+      PerfTimer solve_timer(&perf->normal_solve_ns);
+      miss_roots =
+          QueryRoots(*strategy_->strategy, miss_rep.size(),
+                     [&](std::size_t s) { return rows[miss_rep[s]]; });
+    }
+    MutexLock lock(&cache_->mu);
+    const std::uint64_t evictions_before = cache_->roots.evictions();
+    for (const auto& [key, slot] : miss_slot) {
+      cache_->roots.Put(key, miss_roots[slot]);
+    }
+    m.cache_evict->Add(cache_->roots.evictions() - evictions_before);
   }
-  MutexLock lock(&cache_->mu);
-  const std::uint64_t evictions_before = cache_->roots.evictions();
-  cache_->roots.Put(key, root);
-  m.cache_evict->Add(cache_->roots.evictions() - evictions_before);
-  return root;
+  for (std::size_t i = 0; i < count; ++i) {
+    auto it = miss_slot.find(keys[i]);
+    if (it != miss_slot.end()) roots[i] = miss_roots[it->second];
+    answers[i].stddev = sigma_ * roots[i];
+  }
 }
 
 AnswerEngine::Answer AnswerEngine::AnswerPredicate(
@@ -142,10 +170,8 @@ AnswerEngine::Answer AnswerEngine::AnswerPredicate(
   EngineMetrics& m = Instruments();
   TraceSpan span("AnswerPredicate", "serve");
   const std::uint64_t t0 = MonotonicNanos();
-  const linalg::Vector row = predicate.ToRow(domain_);
   Answer out;
-  out.value = linalg::Dot(row, release_->x_hat);
-  out.stddev = sigma_ * RootFor(CacheKey(predicate), row);
+  AnswerChunk(&predicate, 1, &out);
   m.queries->Add(1);
   m.query_ns->Record(MonotonicNanos() - t0);
   return out;
@@ -166,70 +192,14 @@ std::vector<AnswerEngine::Answer> AnswerEngine::AnswerBatch(
   const std::uint64_t t0 = MonotonicNanos();
   m.batch_size->Record(q);
   std::vector<Answer> answers(q);
-  // Everything per-query — row materialization, value dot products, cache
-  // probes, the block solve — runs inside one bounded chunk at a time, so
-  // live memory is O(n * kRootChunk) no matter how many predicates a
-  // client batches. Chunking cannot change results: each column's solve is
-  // bit-identical to its solo SolveNormal, and a duplicate landing in a
-  // later chunk reads the root its predecessor just cached.
-  PerfContext* perf = GetPerfContext();
-  for (std::size_t c0 = 0; c0 < q; c0 += kRootChunk) {
-    const std::size_t chunk_len = std::min(q, c0 + kRootChunk) - c0;
-    std::vector<linalg::Vector> rows(chunk_len);
-    std::vector<std::string> keys(chunk_len);
-    std::vector<double> roots(chunk_len, 0.0);
-    for (std::size_t i = 0; i < chunk_len; ++i) {
-      rows[i] = predicates[c0 + i].ToRow(domain_);
-      keys[i] = CacheKey(predicates[c0 + i]);
-      answers[c0 + i].value = linalg::Dot(rows[i], release_->x_hat);
-    }
-
-    // Resolve cached keys and collect the distinct misses (duplicates
-    // within the chunk solve once).
-    std::vector<std::size_t> miss_rep;  // representative index per new key
-    std::unordered_map<std::string, std::size_t> miss_slot;
-    perf->root_cache_probes += chunk_len;
-    {
-      MutexLock lock(&cache_->mu);
-      for (std::size_t i = 0; i < chunk_len; ++i) {
-        if (const double* hit = cache_->roots.Get(keys[i])) {
-          roots[i] = *hit;
-          ++cache_->hits;
-          m.cache_hit->Add(1);
-          ++perf->root_cache_hits;
-        } else if (miss_slot.emplace(keys[i], miss_rep.size()).second) {
-          miss_rep.push_back(i);
-        }
-      }
-    }
-    m.cache_miss->Add(miss_rep.size());
-    perf->root_solves += miss_rep.size();
-
-    std::vector<double> miss_roots(miss_rep.size());
-    if (!miss_rep.empty()) {
-      std::vector<linalg::Vector> block(miss_rep.size());
-      for (std::size_t s = 0; s < miss_rep.size(); ++s) {
-        block[s] = rows[miss_rep[s]];
-      }
-      PerfTimer solve_timer(&perf->normal_solve_ns);
-      const std::vector<linalg::Vector> solves =
-          strategy_->strategy->SolveNormalBatch(block);
-      for (std::size_t s = 0; s < miss_rep.size(); ++s) {
-        miss_roots[s] =
-            std::sqrt(std::max(0.0, linalg::Dot(block[s], solves[s])));
-      }
-      MutexLock lock(&cache_->mu);
-      const std::uint64_t evictions_before = cache_->roots.evictions();
-      for (const auto& [key, slot] : miss_slot) {
-        cache_->roots.Put(key, miss_roots[slot]);
-      }
-      m.cache_evict->Add(cache_->roots.evictions() - evictions_before);
-    }
-    for (std::size_t i = 0; i < chunk_len; ++i) {
-      auto it = miss_slot.find(keys[i]);
-      if (it != miss_slot.end()) roots[i] = miss_roots[it->second];
-      answers[c0 + i].stddev = sigma_ * roots[i];
-    }
+  // One chunk at the solve loop's width at a time, so live memory is
+  // bounded no matter how many predicates a client batches. Chunking cannot
+  // change results: each root's solve is bit-identical to a solo solve, and
+  // a duplicate landing in a later chunk reads the root its predecessor
+  // just cached.
+  const std::size_t width = NormalSolveWidth(domain_.NumCells());
+  for (std::size_t c0 = 0; c0 < q; c0 += width) {
+    AnswerChunk(&predicates[c0], std::min(q - c0, width), &answers[c0]);
   }
   m.queries->Add(q);
   if (q > 0) m.query_ns->Record((MonotonicNanos() - t0) / q);

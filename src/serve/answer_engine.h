@@ -13,8 +13,10 @@
 // part (one normal solve per distinct query); the engine caches
 // them under a canonical per-attribute bucket-mask key, so repeated and
 // semantically-identical queries cost one dot product after first touch.
-// Batches of queries solve their uncached roots through one block normal
-// solve (KronStrategy::SolveNormalBatch), whose per-column results are
+// Single predicates and batches take one path: queries are answered in
+// chunks of the Prop. 4 solve loop's width (NormalSolveWidth, from n under
+// a fixed byte budget), and each chunk's uncached roots go through that
+// loop (QueryRoots in mechanism/error.h), whose per-row results are
 // bit-identical to solo solves — answers never depend on how queries were
 // grouped. The engine is safe for concurrent readers: the cache is
 // mutex-guarded, the strategy and release artifacts are immutable shared
@@ -78,15 +80,15 @@ class AnswerEngine {
   /// Parses the predicate against the domain and answers it.
   [[nodiscard]] Result<Answer> AnswerText(const std::string& predicate_text) const;
 
-  /// Answers one parsed predicate.
+  /// Answers one parsed predicate: the batch path at width 1.
   Answer AnswerPredicate(const query::Predicate& predicate) const;
 
-  /// Answers a batch of concurrent queries in bounded chunks: cached roots
-  /// are reused, duplicate queries within a chunk solve once (across
-  /// chunks, via the cache), and the remaining distinct roots go through
-  /// the block normal solve. Live memory is O(n * chunk) regardless of the
-  /// batch size. Entry i of the result is bit-identical to
-  /// AnswerPredicate(predicates[i]).
+  /// Answers a batch of concurrent queries in chunks of NormalSolveWidth(n):
+  /// cached roots are reused, duplicate queries within a chunk solve once
+  /// (across chunks, via the cache), and the remaining distinct roots go
+  /// through the solve loop. Live memory is bounded by the loop's block
+  /// budget regardless of the batch size. Entry i of the result is
+  /// bit-identical to AnswerPredicate(predicates[i]).
   std::vector<Answer> AnswerBatch(
       const std::vector<query::Predicate>& predicates) const;
 
@@ -105,8 +107,11 @@ class AnswerEngine {
   /// collision-free by construction (unlike hashing the row).
   std::string CacheKey(const query::Predicate& predicate) const;
 
-  /// The budget-independent root for a row, from cache or one normal solve.
-  double RootFor(const std::string& key, const linalg::Vector& row) const;
+  /// Answers `count` predicates (at most the solve loop's width): cached
+  /// roots are reused, and the distinct misses go through one
+  /// QueryRoots call. AnswerPredicate is this at width 1.
+  void AnswerChunk(const query::Predicate* predicates, std::size_t count,
+                   Answer* answers) const;
 
   std::shared_ptr<const serialize::StrategyArtifact> strategy_;
   std::shared_ptr<const serialize::ReleaseArtifact> release_;

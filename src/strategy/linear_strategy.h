@@ -68,7 +68,7 @@ class LinearStrategy {
 
   // The normal-equation solves behind least-squares inference and the
   // per-query error roots sqrt(w_q (A^T A)^+ w_q^T). Non-virtual entry
-  // points so the rel_tol default lives in exactly one place (defaults on
+  // points so the rel_tol default is the one constant below (defaults on
   // virtuals bind to the static type); each engine implements two hooks,
   // SolveNormalBatchImpl and (optionally) LeastSquaresBatchImpl, and a
   // single solve is the batch hook at width 1 — one code path per engine.
@@ -76,8 +76,11 @@ class LinearStrategy {
   // singular. `rel_tol` bounds the iterative engines' relative residual;
   // direct engines (dense) ignore it.
 
+  /// The relative residual every inference solve and error bar uses.
+  static constexpr double kDefaultRelTol = 1e-12;
+
   linalg::Vector SolveNormal(const linalg::Vector& b,
-                             double rel_tol = 1e-12) const {
+                             double rel_tol = kDefaultRelTol) const {
     return std::move(SolveNormalBatchImpl({b}, rel_tol)[0]);
   }
 
@@ -85,7 +88,8 @@ class LinearStrategy {
   /// SolveNormal(bs[i], rel_tol) on every engine — answers never depend on
   /// how queries were grouped.
   std::vector<linalg::Vector> SolveNormalBatch(
-      const std::vector<linalg::Vector>& bs, double rel_tol = 1e-12) const {
+      const std::vector<linalg::Vector>& bs,
+      double rel_tol = kDefaultRelTol) const {
     return SolveNormalBatchImpl(bs, rel_tol);
   }
 
@@ -93,7 +97,8 @@ class LinearStrategy {
   /// (A^T A)^+ A^T ys[i], bit-identical to SolveNormal(ApplyT(ys[i]),
   /// rel_tol) on every engine — the matrix mechanism's inference step.
   std::vector<linalg::Vector> LeastSquaresBatch(
-      const std::vector<linalg::Vector>& ys, double rel_tol = 1e-12) const {
+      const std::vector<linalg::Vector>& ys,
+      double rel_tol = kDefaultRelTol) const {
     return LeastSquaresBatchImpl(ys, rel_tol);
   }
 

@@ -45,7 +45,8 @@ class Strategy : public LinearStrategy {
 
  protected:
   // Normal-equation solves, the one dense factorization behind releases,
-  // per-query error profiles (Def. 5 / Prop. 4) and the serve engine:
+  // per-query error profiles (Def. 5), the Prop. 4 trace and the serve
+  // engine:
   // Cholesky of A^T A when it factors, otherwise (rank-deficient strategies,
   // e.g. the paper's Fig. 2 output) the minimum-norm solution through
   // (A^T A)^+ = A^+ (A^+)^T. Factored once on first use (thread-safe; copies

@@ -462,12 +462,10 @@ TEST(KronEngineDesign, AgreesWithAnalyticEigenPathOnMarginals) {
                                           tr_dense, w.num_queries(), opts);
   EXPECT_NEAR(err_dense, err_kron, 1e-6 * err_dense);
 
-  // The generic dense TraceTerm once regularized its Cholesky with an
-  // absolute ~2e-12 jitter, an O(jitter / u_min) accuracy floor (~1e-5
-  // relative here, with solver weights spanning ~6 orders of magnitude).
-  // The equilibrated jitter-free factorization (spectral pseudo-inverse on
-  // the PSD-only path) removed that floor, so the dense reference now
-  // agrees with the exact implicit trace to rounding.
+  // The dense TraceTerm solves through the strategy's own jitter-free
+  // factorization: a jitter would put an O(jitter / u_min) floor under it
+  // (~1e-5 relative here, with solver weights spanning ~6 orders of
+  // magnitude), so agreement to rounding pins that there is none.
   const double err_via_dense =
       StrategyError(w.Gram(), w.num_queries(), k.strategy->Materialize(), opts);
   EXPECT_NEAR(err_kron, err_via_dense, 1e-8 * err_kron);

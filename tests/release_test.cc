@@ -1,13 +1,17 @@
 // Tests for the release utilities: synthetic-data rounding, budget
 // composition and per-query error profiles.
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "linalg/blas.h"
+#include "linalg/cholesky.h"
 #include "mechanism/error.h"
 #include "mechanism/matrix_mechanism.h"
 #include "optimize/eigen_design.h"
 #include "release/release.h"
+#include "strategy/kron_strategy.h"
 #include "strategy/wavelet.h"
 #include "workload/builders.h"
 #include "workload/range_workloads.h"
@@ -76,20 +80,30 @@ TEST(SplitBudget, RejectsNonPositiveWeights) {
   EXPECT_DEATH(SplitBudget({1.0, 1e-4}, {1.0, 0.0}), "");
 }
 
+// Prop. 4's aggregate identity: the squared per-query bars sum to the
+// squared workload error under the total convention.
+void ExpectAggregateIdentity(const linalg::Vector& profile,
+                             double strategy_error) {
+  double total2 = 0;
+  for (double sd : profile) total2 += sd * sd;
+  EXPECT_NEAR(std::sqrt(total2), strategy_error, 1e-8 * strategy_error);
+}
+
+ErrorOptions TotalConvention(const PrivacyParams& privacy) {
+  ErrorOptions opts;
+  opts.privacy = privacy;
+  opts.convention = ErrorConvention::kTotal;
+  return opts;
+}
+
 TEST(QueryErrorProfile, MatchesWorkloadErrorAggregate) {
-  // The per-query profile must aggregate to the Prop. 4 workload error.
   auto w = ExplicitWorkload::FromMatrix(builders::Fig1Matrix(), "Fig1");
   Strategy wav = WaveletStrategy(Domain::OneDim(8));
   PrivacyParams privacy{0.5, 1e-4};
   linalg::Vector profile = QueryErrorProfile(w, wav, privacy);
   ASSERT_EQ(profile.size(), 8u);
-  double total2 = 0;
-  for (double sd : profile) total2 += sd * sd;
-  ErrorOptions opts;
-  opts.privacy = privacy;
-  opts.convention = ErrorConvention::kTotal;
-  EXPECT_NEAR(std::sqrt(total2), StrategyError(w, wav, opts),
-              1e-6 * std::sqrt(total2));
+  ExpectAggregateIdentity(profile,
+                          StrategyError(w, wav, TotalConvention(privacy)));
 }
 
 TEST(ReleaseBatch, BitIdenticalToSequentialMechanismAndProfiles) {
@@ -152,6 +166,90 @@ TEST(QueryErrorProfile, BadlyScaledFullRankStrategyKeepsItsErrorBar) {
   const linalg::Vector profile = QueryErrorProfile(w, strategy, privacy);
   EXPECT_NEAR(profile[0], sigma, 1e-12 * sigma);
   EXPECT_NEAR(profile[1], 1e4 * sigma, 1e-12 * 1e4 * sigma);
+}
+
+// The per-row reference the chunked solve loop must reproduce bit for bit:
+// one solo normal solve per query row, sigma * sqrt(max(0, w_q . z_q)).
+linalg::Vector SoloProfile(const ExplicitWorkload& workload,
+                           const LinearStrategy& strategy,
+                           const PrivacyParams& privacy) {
+  const linalg::Matrix& w = *workload.matrix();
+  const double sigma = GaussianNoiseScale(privacy, strategy.L2Sensitivity());
+  linalg::Vector out(w.rows());
+  for (std::size_t q = 0; q < w.rows(); ++q) {
+    const linalg::Vector wq = w.Row(q);
+    const linalg::Vector z = strategy.SolveNormal(wq);
+    out[q] = sigma * std::sqrt(std::max(0.0, linalg::Dot(wq, z)));
+  }
+  return out;
+}
+
+// 70 random range rows: more than two chunks of the solve loop at these
+// domain sizes, so the profile crosses chunk boundaries.
+void ExpectProfileMatchesSoloSolves(const Domain& domain,
+                                    const LinearStrategy& strategy) {
+  constexpr std::size_t kRows = 70;
+  ASSERT_LT(2 * NormalSolveWidth(strategy.num_cells()), kRows);
+  Rng rng(23);
+  const ExplicitWorkload probe =
+      builders::RandomRangeWorkload(domain, kRows, &rng);
+  const PrivacyParams privacy{0.7, 1e-5};
+  EXPECT_EQ(QueryErrorProfile(probe, strategy, privacy),
+            SoloProfile(probe, strategy, privacy));
+}
+
+TEST(QueryErrorProfile, ChunkedLoopMatchesSoloSolvesOnKronWithCompletion) {
+  AllRangeWorkload ranges(Domain({8, 8}));
+  auto design = optimize::Design(*ranges.ImplicitEigen());
+  ASSERT_TRUE(design.ok());
+  const auto& strategy = *design.ValueOrDie().strategy;
+  ASSERT_TRUE(dynamic_cast<const KronStrategy&>(strategy).has_completion());
+  ExpectProfileMatchesSoloSolves(ranges.domain(), strategy);
+}
+
+TEST(QueryErrorProfile, ChunkedLoopMatchesSoloSolvesOnDenseStrategy) {
+  AllRangeWorkload ranges(Domain({16}));
+  optimize::DesignOptions dense;
+  dense.engine = optimize::EngineSelection::kDense;
+  auto design = optimize::Design(ranges, dense);
+  ASSERT_TRUE(design.ok());
+  const auto& strategy = *design.ValueOrDie().strategy;
+  ASSERT_EQ(strategy.engine(), StrategyEngine::kDense);
+  ExpectProfileMatchesSoloSolves(ranges.domain(), strategy);
+}
+
+TEST(QueryErrorProfile, AggregateMatchesSpectralTraceOnKronWithCompletion) {
+  // The implicit trace (one solve per eigendirection) against the per-query
+  // bars of the same strategy: both go through the one solve loop.
+  AllRangeWorkload ranges(Domain({16}));
+  const auto keig = *ranges.ImplicitEigen();
+  auto design = optimize::Design(keig);
+  ASSERT_TRUE(design.ok());
+  const auto& kron =
+      dynamic_cast<const KronStrategy&>(*design.ValueOrDie().strategy);
+  ASSERT_TRUE(kron.has_completion());
+  const auto w = ExplicitWorkload::FromMatrix(builders::AllRangeMatrix1D(16),
+                                              "allrange16");
+  ASSERT_EQ(w.num_queries(), ranges.num_queries());
+  const PrivacyParams privacy{0.5, 1e-4};
+  ExpectAggregateIdentity(
+      QueryErrorProfile(w, kron, privacy),
+      StrategyError(keig.values, w.num_queries(), kron,
+                    TotalConvention(privacy)));
+}
+
+TEST(QueryErrorProfile, AggregateMatchesDenseTraceOnRankDeficientFig2) {
+  // The adaptive strategy of Example 4 / Fig. 2 is rank deficient: the
+  // dense trace and the error bars must share one definition of which
+  // directions of A^T A count as zero.
+  auto w = ExplicitWorkload::FromMatrix(builders::Fig1Matrix(), "Fig1");
+  auto design = optimize::Design(w);
+  ASSERT_TRUE(design.ok());
+  const Strategy fig2 = design.ValueOrDie().strategy->Materialize();
+  ASSERT_FALSE(linalg::Cholesky::Factor(fig2.Gram()).ok());
+  const PrivacyParams privacy{0.5, 1e-4};
+  ExpectAggregateIdentity(QueryErrorProfile(w, fig2, privacy),
+                          StrategyError(w, fig2, TotalConvention(privacy)));
 }
 
 TEST(QueryErrorProfile, IdentityStrategyGivesRowNorms) {

@@ -3,6 +3,7 @@
 // truncation, trailing bytes) is a clean Status error, and a loaded
 // strategy reproduces both the stored gap certificate and the exact
 // numerical behavior of the original.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -211,6 +212,17 @@ TEST(ReleaseArtifact, InvalidBudgetRejected) {
   ReleaseArtifact rel = SampleRelease("allrange@4,4", {4, 4}, 16);
   rel.budget.epsilon = -1.0;
   EXPECT_FALSE(DecodeReleaseArtifact(EncodeReleaseArtifact(rel)).ok());
+  // A stored release is Gaussian: delta must lie in (0, 1), or serving it
+  // would abort in the noise calibration.
+  for (const double delta : {0.0, 1.0, 2.0, std::nan("")}) {
+    rel = SampleRelease("allrange@4,4", {4, 4}, 16);
+    rel.budget.delta = delta;
+    auto decoded = DecodeReleaseArtifact(EncodeReleaseArtifact(rel));
+    ASSERT_FALSE(decoded.ok()) << "delta " << delta;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(decoded.status().message().find("artifact budget invalid"),
+              std::string::npos);
+  }
 }
 
 TEST(ReleaseArtifact, SupersessionRoundTripsInV3) {

@@ -6,6 +6,7 @@
 // suite runs under DPMM_THREADS=4 and in the TSan CI pass).
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -327,6 +328,25 @@ TEST(AnswerEngine, RejectsMismatchedArtifacts) {
   EXPECT_FALSE(
       AnswerEngine::Create(f.strategy, f.release, Domain({2, 8})).ok());
   EXPECT_FALSE(AnswerEngine::Create(nullptr, f.release, f.domain).ok());
+}
+
+TEST(AnswerEngine, RejectsBudgetOutsideTheGaussianRange) {
+  // An in-memory artifact the decoder would refuse: the engine must return
+  // InvalidArgument rather than abort in the noise calibration.
+  Fixture f = MakeFixture();
+  for (const double delta : {0.0, 1.0, 2.0, std::nan("")}) {
+    auto bad = std::make_shared<ReleaseArtifact>(*f.release);
+    bad->budget.delta = delta;
+    auto engine = AnswerEngine::Create(f.strategy, bad, f.domain);
+    ASSERT_FALSE(engine.ok()) << "delta " << delta;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto bad_eps = std::make_shared<ReleaseArtifact>(*f.release);
+  bad_eps->budget.epsilon = 0.0;
+  EXPECT_EQ(AnswerEngine::Create(f.strategy, bad_eps, f.domain)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 /// Served answers and error bars must be bit-identical to the library's

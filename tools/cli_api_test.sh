@@ -27,6 +27,13 @@ rc=0; "${CLI}" release --data "${DATA}" --workload fig1 --engine bogus \
   >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "--engine bogus must exit 2, got ${rc}"
 
+echo "== --delta >= 1 is a usage error =="
+rc=0; "${CLI}" release --data "${DATA}" --workload fig1 --delta 1.5 \
+  >/dev/null 2>&1 || rc=$?
+[ "${rc}" -eq 2 ] || fail "release --delta 1.5 must exit 2, got ${rc}"
+rc=0; "${CLI}" error --domain 8 --delta 2 >/dev/null 2>&1 || rc=$?
+[ "${rc}" -eq 2 ] || fail "error --delta 2 must exit 2, got ${rc}"
+
 echo "== dense design --save =="
 "${CLI}" design --domain 2,4 --workload fig1 --save "${STORE}" \
   > "${WORK}/design.out" || fail "dense design --save failed"

@@ -414,9 +414,14 @@ bool ParsePrivacy(const Args& args, PrivacyParams* privacy) {
   }
   // Finiteness matters as much as sign: NaN slips past a <= 0 test, and an
   // infinite epsilon would emit an exact release labeled as private.
+  // delta >= 1 is no privacy at all, and the Gaussian calibration
+  // log(2 / delta) / eps^2 is not defined for it.
   if (!std::isfinite(privacy->epsilon) || !std::isfinite(privacy->delta) ||
-      privacy->epsilon <= 0.0 || privacy->delta <= 0.0) {
-    std::fprintf(stderr, "--epsilon and --delta must be positive and finite\n");
+      privacy->epsilon <= 0.0 || privacy->delta <= 0.0 ||
+      privacy->delta >= 1.0) {
+    std::fprintf(stderr,
+                 "--epsilon must be positive and finite, and --delta in "
+                 "(0, 1)\n");
     return false;
   }
   return true;

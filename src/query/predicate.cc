@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/metrics.h"
+#include "util/text.h"
 
 namespace dpmm {
 namespace query {
@@ -22,28 +23,76 @@ bool Condition::Matches(std::size_t bucket) const {
   return false;
 }
 
-bool Predicate::Matches(const std::vector<std::size_t>& multi) const {
-  for (const auto& c : conjuncts_) {
-    DPMM_CHECK_LT(c.attr, multi.size());
-    if (!c.Matches(multi[c.attr])) return false;
-  }
-  return true;
-}
-
 linalg::Vector Predicate::ToRow(const Domain& domain) const {
-  linalg::Vector row(domain.NumCells(), 0.0);
-  for (std::size_t cell = 0; cell < row.size(); ++cell) {
-    if (Matches(domain.MultiIndex(cell))) row[cell] = 1.0;
-  }
-  return row;
+  return BoxSelection(*this, domain).ToRow();
 }
 
-std::size_t Predicate::Support(const Domain& domain) const {
-  std::size_t count = 0;
-  for (std::size_t cell = 0; cell < domain.NumCells(); ++cell) {
-    if (Matches(domain.MultiIndex(cell))) ++count;
+BoxSelection::BoxSelection(const Predicate& predicate, const Domain& domain)
+    : begin_(domain.num_attributes() + 1, 0),
+      strides_(domain.num_attributes(), 1),
+      num_cells_(domain.NumCells()) {
+  const std::size_t k = domain.num_attributes();
+  // The key doubles as the per-attribute masks: attribute a's buckets sit
+  // at key_[mask_at[a] + b]. One pass over the conditions clears the
+  // buckets each one rejects.
+  std::vector<std::size_t> mask_at(k);
+  for (std::size_t a = 0; a < k; ++a) {
+    if (a > 0) key_ += '|';
+    mask_at[a] = key_.size();
+    key_.append(domain.size(a), '1');
   }
-  return count;
+  buckets_.reserve(key_.size());
+  for (const Condition& c : predicate.conjuncts()) {
+    DPMM_CHECK_LT(c.attr, k);
+    for (std::size_t b = 0; b < domain.size(c.attr); ++b) {
+      if (!c.Matches(b)) key_[mask_at[c.attr] + b] = '0';
+    }
+  }
+  for (std::size_t a = 0; a < k; ++a) {
+    begin_[a] = buckets_.size();
+    for (std::size_t b = 0; b < domain.size(a); ++b) {
+      if (key_[mask_at[a] + b] == '1') buckets_.push_back(b);
+    }
+  }
+  begin_[k] = buckets_.size();
+  for (std::size_t a = k; a > 1; --a) {
+    strides_[a - 2] = strides_[a - 1] * domain.size(a - 1);
+  }
+}
+
+template <typename Visit>
+void BoxSelection::ForEachCell(Visit visit) const {
+  if (!strides_.empty()) ForEachCellFrom(0, 0, visit);
+}
+
+// Attribute `attr`'s selected buckets under `offset`, the linear offset of
+// the buckets chosen for attributes before it. Attribute 0 outermost, each
+// list ascending: row-major order, so the visited cells ascend.
+template <typename Visit>
+void BoxSelection::ForEachCellFrom(std::size_t attr, std::size_t offset,
+                                   Visit& visit) const {
+  const bool last = attr + 1 == strides_.size();
+  for (std::size_t p = begin_[attr]; p < begin_[attr + 1]; ++p) {
+    const std::size_t cell = offset + buckets_[p] * strides_[attr];
+    if (last) {
+      visit(cell);
+    } else {
+      ForEachCellFrom(attr + 1, cell, visit);
+    }
+  }
+}
+
+double BoxSelection::Sum(const linalg::Vector& x) const {
+  DPMM_CHECK_EQ(x.size(), num_cells_);
+  double s = 0;
+  ForEachCell([&](std::size_t cell) { s += x[cell]; });
+  return s;
+}
+
+linalg::Vector BoxSelection::ToRow() const {
+  linalg::Vector row(num_cells_, 0.0);
+  ForEachCell([&](std::size_t cell) { row[cell] = 1.0; });
+  return row;
 }
 
 std::string Predicate::ToString(const Domain& domain) const {
@@ -127,6 +176,11 @@ Status ParseError(const std::string& what) {
   return Status::InvalidArgument("predicate parse error: " + what);
 }
 
+// A digits-only literal too large for size_t.
+Status OutOfRange(const std::string& literal) {
+  return ParseError("integer " + literal + " out of range");
+}
+
 }  // namespace
 
 Result<Predicate> ParsePredicate(const std::string& text,
@@ -182,8 +236,8 @@ Result<Predicate> ParsePredicate(const std::string& text,
       }
       if (tok.Next() != "]") return ParseError("expected ']' closing IN range");
       cond.op = Condition::Op::kBetween;
-      cond.value = std::stoull(lo);
-      cond.value2 = std::stoull(hi);
+      if (!util::ParseSizeT(lo, &cond.value)) return OutOfRange(lo);
+      if (!util::ParseSizeT(hi, &cond.value2)) return OutOfRange(hi);
       if (cond.value > cond.value2) {
         return ParseError("empty IN range");
       }
@@ -207,7 +261,7 @@ Result<Predicate> ParsePredicate(const std::string& text,
       if (val.empty() || !std::isdigit(static_cast<unsigned char>(val[0]))) {
         return ParseError("expected integer value after operator");
       }
-      cond.value = std::stoull(val);
+      if (!util::ParseSizeT(val, &cond.value)) return OutOfRange(val);
     }
     // Equality against an out-of-range bucket selects nothing; flag it as a
     // likely mistake (range operators may legitimately clip).

@@ -53,20 +53,51 @@ class Predicate {
 
   const std::vector<Condition>& conjuncts() const { return conjuncts_; }
 
-  /// True when the cell with the given multi-index satisfies every
-  /// condition.
-  bool Matches(const std::vector<std::size_t>& multi) const;
-
   /// The 0/1 indicator row of this predicate over the domain's cells.
   linalg::Vector ToRow(const Domain& domain) const;
-
-  /// Number of cells selected.
-  std::size_t Support(const Domain& domain) const;
 
   std::string ToString(const Domain& domain) const;
 
  private:
   std::vector<Condition> conjuncts_;
+};
+
+/// The box a predicate selects, one attribute at a time: for each attribute
+/// the ascending bucket indices that every condition on it admits (all
+/// buckets when no condition names it). The selected cells are the cross
+/// product of these lists, so the key, the answer and the row of a
+/// predicate all come from k short lists instead of n cells.
+class BoxSelection {
+ public:
+  BoxSelection(const Predicate& predicate, const Domain& domain);
+
+  /// Canonical form of the box: one '0'/'1' per bucket, attribute by
+  /// attribute, joined by '|'. Two predicates have equal keys exactly when
+  /// they select the same cells, i.e. when their rows are equal.
+  const std::string& key() const { return key_; }
+
+  /// The sum of x over the selected cells, added in ascending index order.
+  /// Bit-identical to linalg::Dot(ToRow(), x): the terms Dot adds for
+  /// unselected cells are +-0, which leave its running sum unchanged.
+  double Sum(const linalg::Vector& x) const;
+
+  /// The 0/1 indicator row over the domain's cells.
+  linalg::Vector ToRow() const;
+
+ private:
+  /// Calls visit(cell) for every selected cell, in ascending linear-index
+  /// order, with no allocation per cell.
+  template <typename Visit>
+  void ForEachCell(Visit visit) const;
+  template <typename Visit>
+  void ForEachCellFrom(std::size_t attr, std::size_t offset,
+                       Visit& visit) const;
+
+  std::string key_;
+  std::vector<std::size_t> buckets_;  // every attribute's list, concatenated
+  std::vector<std::size_t> begin_;    // attribute a's list starts at begin_[a]
+  std::vector<std::size_t> strides_;  // row-major stride of each attribute
+  std::size_t num_cells_ = 0;
 };
 
 /// Parses a predicate string against the domain's attribute names.

@@ -87,36 +87,16 @@ AnswerEngine::AnswerEngine(
       sigma_(sigma),
       cache_(new RootCache(root_cache_capacity)) {}
 
-std::string AnswerEngine::CacheKey(const query::Predicate& predicate) const {
-  std::string key;
-  key.reserve(domain_.NumCells() == 0 ? 0 : domain_.num_attributes() * 8);
-  for (std::size_t a = 0; a < domain_.num_attributes(); ++a) {
-    if (a > 0) key += '|';
-    for (std::size_t b = 0; b < domain_.size(a); ++b) {
-      bool selected = true;
-      for (const auto& cond : predicate.conjuncts()) {
-        if (cond.attr == a && !cond.Matches(b)) {
-          selected = false;
-          break;
-        }
-      }
-      key += selected ? '1' : '0';
-    }
-  }
-  return key;
-}
-
 void AnswerEngine::AnswerChunk(const query::Predicate* predicates,
                                std::size_t count, Answer* answers) const {
   EngineMetrics& m = Instruments();
   PerfContext* perf = GetPerfContext();
-  std::vector<linalg::Vector> rows(count);
-  std::vector<std::string> keys(count);
+  std::vector<query::BoxSelection> boxes;
+  boxes.reserve(count);
   std::vector<double> roots(count, 0.0);
   for (std::size_t i = 0; i < count; ++i) {
-    rows[i] = predicates[i].ToRow(domain_);
-    keys[i] = CacheKey(predicates[i]);
-    answers[i].value = linalg::Dot(rows[i], release_->x_hat);
+    boxes.emplace_back(predicates[i], domain_);
+    answers[i].value = boxes[i].Sum(release_->x_hat);
   }
 
   // Resolve cached keys and collect the distinct misses (duplicates within
@@ -127,12 +107,12 @@ void AnswerEngine::AnswerChunk(const query::Predicate* predicates,
   {
     MutexLock lock(&cache_->mu);
     for (std::size_t i = 0; i < count; ++i) {
-      if (const double* hit = cache_->roots.Get(keys[i])) {
+      if (const double* hit = cache_->roots.Get(boxes[i].key())) {
         roots[i] = *hit;
         ++cache_->hits;
         m.cache_hit->Add(1);
         ++perf->root_cache_hits;
-      } else if (miss_slot.emplace(keys[i], miss_rep.size()).second) {
+      } else if (miss_slot.emplace(boxes[i].key(), miss_rep.size()).second) {
         miss_rep.push_back(i);
       }
     }
@@ -149,7 +129,7 @@ void AnswerEngine::AnswerChunk(const query::Predicate* predicates,
       PerfTimer solve_timer(&perf->normal_solve_ns);
       miss_roots =
           QueryRoots(*strategy_->strategy, miss_rep.size(),
-                     [&](std::size_t s) { return rows[miss_rep[s]]; });
+                     [&](std::size_t s) { return boxes[miss_rep[s]].ToRow(); });
     }
     MutexLock lock(&cache_->mu);
     const std::uint64_t evictions_before = cache_->roots.evictions();
@@ -159,7 +139,7 @@ void AnswerEngine::AnswerChunk(const query::Predicate* predicates,
     m.cache_evict->Add(cache_->roots.evictions() - evictions_before);
   }
   for (std::size_t i = 0; i < count; ++i) {
-    auto it = miss_slot.find(keys[i]);
+    auto it = miss_slot.find(boxes[i].key());
     if (it != miss_slot.end()) roots[i] = miss_roots[it->second];
     answers[i].stddev = sigma_ * roots[i];
   }

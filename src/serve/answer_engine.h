@@ -12,7 +12,10 @@
 // The budget-independent roots sqrt(w_q (A^T A)^+ w_q^T) are the expensive
 // part (one normal solve per distinct query); the engine caches
 // them under a canonical per-attribute bucket-mask key, so repeated and
-// semantically-identical queries cost one dot product after first touch.
+// semantically-identical queries cost one box sum over the selected cells
+// of x_hat after first touch. A predicate is an axis-aligned box, so its
+// key and value come from one short bucket list per attribute
+// (query::BoxSelection); only a cache miss builds the n-length row.
 // Single predicates and batches take one path: queries are answered in
 // chunks of the Prop. 4 solve loop's width (NormalSolveWidth, from n under
 // a fixed byte budget), and each chunk's uncached roots go through that
@@ -102,13 +105,11 @@ class AnswerEngine {
                std::shared_ptr<const serialize::ReleaseArtifact> release,
                Domain domain, double sigma, std::size_t root_cache_capacity);
 
-  /// Canonical cache key: the per-attribute bucket masks of the predicate.
-  /// Predicates with equal masks have equal indicator rows, so the key is
-  /// collision-free by construction (unlike hashing the row).
-  std::string CacheKey(const query::Predicate& predicate) const;
-
-  /// Answers `count` predicates (at most the solve loop's width): cached
-  /// roots are reused, and the distinct misses go through one
+  /// Answers `count` predicates (at most the solve loop's width). Each
+  /// predicate's BoxSelection gives its cache key (the per-attribute bucket
+  /// masks: equal keys mean equal rows, so the key is collision-free by
+  /// construction) and its value (a box sum over x_hat). Cached roots are
+  /// reused; only the distinct misses build an n-length row, inside one
   /// QueryRoots call. AnswerPredicate is this at width 1.
   void AnswerChunk(const query::Predicate* predicates, std::size_t count,
                    Answer* answers) const;

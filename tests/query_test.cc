@@ -1,4 +1,6 @@
 // Tests for the predicate parser / compiler and the workload builder.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "query/predicate.h"
@@ -12,6 +14,12 @@ namespace {
 
 Domain StudentDomain() {
   return Domain({2, 4}, {"gender", "gpa"});
+}
+
+/// Number of cells a predicate selects: the ones in its row.
+std::size_t Support(const Predicate& p, const Domain& d) {
+  const linalg::Vector row = p.ToRow(d);
+  return static_cast<std::size_t>(std::count(row.begin(), row.end(), 1.0));
 }
 
 TEST(Condition, AllOperators) {
@@ -49,14 +57,14 @@ TEST(ParsePredicate, StarAndEmptyAreTotal) {
   for (const char* text : {"*", "", "   "}) {
     auto p = ParsePredicate(text, d);
     ASSERT_TRUE(p.ok()) << text;
-    EXPECT_EQ(p.ValueOrDie().Support(d), 8u);
+    EXPECT_EQ(Support(p.ValueOrDie(), d), 8u);
   }
 }
 
 TEST(ParsePredicate, SimpleEquality) {
   Domain d = StudentDomain();
   auto p = ParsePredicate("gender = 0", d).ValueOrDie();
-  EXPECT_EQ(p.Support(d), 4u);
+  EXPECT_EQ(Support(p, d), 4u);
   // Cells 0..3 are gender=0 in row-major order.
   linalg::Vector row = p.ToRow(d);
   EXPECT_EQ(row, (linalg::Vector{1, 1, 1, 1, 0, 0, 0, 0}));
@@ -75,11 +83,12 @@ TEST(ParsePredicate, ConjunctionAndRange) {
 
 TEST(ParsePredicate, ComparisonOperators) {
   Domain d = StudentDomain();
-  EXPECT_EQ(ParsePredicate("gpa < 2", d).ValueOrDie().Support(d), 4u);
-  EXPECT_EQ(ParsePredicate("gpa >= 2", d).ValueOrDie().Support(d), 4u);
-  EXPECT_EQ(ParsePredicate("gpa != 0", d).ValueOrDie().Support(d), 6u);
-  EXPECT_EQ(ParsePredicate("gpa <= 0 AND gender == 0", d).ValueOrDie().Support(d),
-            1u);
+  EXPECT_EQ(Support(ParsePredicate("gpa < 2", d).ValueOrDie(), d), 4u);
+  EXPECT_EQ(Support(ParsePredicate("gpa >= 2", d).ValueOrDie(), d), 4u);
+  EXPECT_EQ(Support(ParsePredicate("gpa != 0", d).ValueOrDie(), d), 6u);
+  EXPECT_EQ(
+      Support(ParsePredicate("gpa <= 0 AND gender == 0", d).ValueOrDie(), d),
+      1u);
 }
 
 TEST(ParsePredicate, Errors) {
@@ -93,6 +102,38 @@ TEST(ParsePredicate, Errors) {
   EXPECT_FALSE(ParsePredicate("gpa IN [1 2]", d).ok());    // missing comma
   EXPECT_FALSE(ParsePredicate("gpa = x", d).ok());         // non-integer
   EXPECT_FALSE(ParsePredicate("* AND gpa = 1", d).ok());   // junk after *
+}
+
+TEST(ParsePredicate, OversizedIntegerIsAParseError) {
+  // Literals past the range of size_t are refused, not thrown.
+  Domain d = StudentDomain();
+  const std::string huge = "99999999999999999999999";
+  for (const std::string& text :
+       {"gpa < " + huge, "gpa IN [0, " + huge + "]",
+        "gpa IN [" + huge + ", " + huge + "]"}) {
+    auto p = ParsePredicate(text, d);
+    ASSERT_FALSE(p.ok()) << text;
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(p.status().ToString().find("predicate parse error"),
+              std::string::npos)
+        << p.status().ToString();
+  }
+  // The largest size_t still parses: a range operator may clip.
+  EXPECT_EQ(Support(ParsePredicate("gpa < 18446744073709551615", d)
+                        .ValueOrDie(),
+                    d),
+            8u);
+}
+
+TEST(BoxSelection, KeyIsThePerAttributeBucketMasks) {
+  Domain d = StudentDomain();
+  auto key = [&](const char* text) {
+    return BoxSelection(ParsePredicate(text, d).ValueOrDie(), d).key();
+  };
+  EXPECT_EQ(key("*"), "11|1111");
+  EXPECT_EQ(key("gender = 1 AND gpa IN [1, 2]"), "01|0110");
+  EXPECT_EQ(key("gpa != 0 AND gpa < 3"), "11|0110");
+  EXPECT_EQ(key("gpa > 3"), "11|0000");
 }
 
 TEST(ParsePredicate, RoundTripsThroughToString) {

@@ -7,7 +7,10 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -591,6 +594,100 @@ TEST(AnswerEngine, DenseArtifactServesThroughStoreRoundTrip) {
     EXPECT_EQ(a.value, b.value);
     EXPECT_EQ(a.stddev, b.stddev);
   }
+}
+
+
+// ---- Row-free box answers
+
+/// The bits of a double, so +0 and -0 compare unequal.
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// A predicate's row built cell by cell: the multi-index of every cell
+/// checked against every condition.
+linalg::Vector ReferenceRow(const query::Predicate& p, const Domain& d) {
+  linalg::Vector row(d.NumCells(), 0.0);
+  for (std::size_t cell = 0; cell < d.NumCells(); ++cell) {
+    const std::vector<std::size_t> multi = d.MultiIndex(cell);
+    bool selected = true;
+    for (const query::Condition& c : p.conjuncts()) {
+      selected = selected && c.Matches(multi[c.attr]);
+    }
+    if (selected) row[cell] = 1.0;
+  }
+  return row;
+}
+
+/// Served values come from a box sum over the selected cells, not a dot
+/// product with the row: it must agree with Dot(row, x_hat) bit for bit —
+/// sign of zero included — on boxes that span every operator, several
+/// conditions on one attribute, an empty selection and the total query.
+TEST(AnswerEngine, BoxSumMatchesRowDotBitForBit) {
+  const Domain d({3, 4, 5});
+  std::unique_ptr<Workload> w(
+      new MarginalsWorkload(MarginalsWorkload::AllKWay(d, 1)));
+  auto strategy = DesignArtifact(*w, "marginals:1");
+
+  // A hand-set x_hat: mixed signs and magnitudes, so summation order shows
+  // in the low bits, and cells 0 and 1 cancel exactly, so a running sum
+  // reaches zero before -0 terms (0 * negative cell) arrive in the dot.
+  auto release = std::make_shared<ReleaseArtifact>();
+  release->signature = strategy->signature;
+  release->domain_sizes = d.sizes();
+  release->budget = PrivacyParams{0.5, 1e-4};
+  release->x_hat.resize(d.NumCells());
+  for (std::size_t i = 0; i < d.NumCells(); ++i) {
+    const double sign = (i % 3 == 1) ? -1.0 : 1.0;
+    release->x_hat[i] = sign * (0.1 * static_cast<double>(i) + 0.3) +
+                        (i % 7 == 0 ? 1e9 : 0.0);
+  }
+  release->x_hat[0] = 1.5;
+  release->x_hat[1] = -1.5;
+
+  auto created = AnswerEngine::Create(strategy, release, d);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const AnswerEngine& engine = created.ValueOrDie();
+
+  const char* const texts[] = {
+      "*",
+      "A1 = 1",
+      "A2 != 2",
+      "A3 < 3",
+      "A3 <= 3",
+      "A2 > 1",
+      "A2 >= 1",
+      "A3 IN [1, 3]",
+      "A3 >= 1 AND A3 != 3",
+      "A1 != 0 AND A2 IN [0, 2] AND A3 > 0",
+      "A2 < 100",
+      "A1 < 0",
+      "A1 = 0 AND A2 = 0 AND A3 <= 1",
+  };
+  for (int pass = 0; pass < 2; ++pass) {  // cold cache, then warm
+    for (const char* text : texts) {
+      auto parsed = query::ParsePredicate(text, d);
+      ASSERT_TRUE(parsed.ok()) << text;
+      const query::Predicate& p = parsed.ValueOrDie();
+      const linalg::Vector row = p.ToRow(d);
+      EXPECT_EQ(row, ReferenceRow(p, d)) << text;
+      const double want = linalg::Dot(row, release->x_hat);
+      EXPECT_EQ(Bits(engine.AnswerPredicate(p).value), Bits(want))
+          << text << " pass " << pass;
+    }
+  }
+  // Every warm query hits, and so does the cold "A2 < 100": it clips to
+  // the box of "*".
+  EXPECT_EQ(engine.root_cache_hits(), std::size(texts) + 1);
+
+  // The two zero answers are +0, as the dot product gives them.
+  auto empty = query::ParsePredicate("A1 < 0", d).ValueOrDie();
+  EXPECT_EQ(Bits(engine.AnswerPredicate(empty).value), Bits(0.0));
+  auto cancel =
+      query::ParsePredicate("A1 = 0 AND A2 = 0 AND A3 <= 1", d).ValueOrDie();
+  EXPECT_EQ(Bits(engine.AnswerPredicate(cancel).value), Bits(0.0));
 }
 
 }  // namespace

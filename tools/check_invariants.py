@@ -74,6 +74,12 @@ compiler have no way to express:
                   engine. src/serialize/ is exempt — the artifact codec is
                   engine-aware by design (each engine has its own payload).
                   Tests, benches and examples may inspect engine internals.
+  throwing-number-parse
+                  no std::stoi / stol / stoll / stoul / stoull / stof / stod
+                  / stold in src/ or tools/: they throw on overflow and junk,
+                  and an uncaught throw on an untrusted line (a served
+                  predicate, a CSV cell) terminates the process. Parse with
+                  the strict, non-throwing helpers in util/text.h.
 
 Suppression syntax — on the offending line, or in the comment line(s)
 immediately above it:
@@ -542,6 +548,21 @@ def rule_engine_downcast(root, active, suppressed):
         "form), or justify with lint:allow", active, suppressed)
 
 
+# ---- throwing-number-parse ------------------------------------------------
+
+THROWING_PARSE_RE = re.compile(r"\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\s*\(")
+
+
+def rule_throwing_number_parse(root, active, suppressed):
+    files = list(iter_sources(root, ["src", "tools"]))
+    scan_line_rule(
+        root, files, "throwing-number-parse", THROWING_PARSE_RE,
+        "throwing std::sto* number parse: an out-of-range or malformed "
+        "literal aborts the process; use the strict parsers in util/text.h "
+        "(ParseSizeT, ParseFiniteDouble), or justify with lint:allow",
+        active, suppressed)
+
+
 RULES = [
     rule_raw_fs_call,
     rule_unseeded_rng,
@@ -556,6 +577,7 @@ RULES = [
     rule_metric_name,
     rule_wall_clock,
     rule_engine_downcast,
+    rule_throwing_number_parse,
 ]
 
 

@@ -69,6 +69,17 @@ grep -q "engine dense" "${WORK}/serve.err" || fail "serve did not report the den
 awk 'NR==1 { if ($1+0 != $1 || $3+0 != $3) exit 1 }' "${WORK}/serve.out" \
   || fail "served answer not numeric"
 
+echo "== an oversized literal is a served error, not a crash =="
+rc=0
+printf 'A1 < 99999999999999999999999\n*\nquit\n' | \
+  "${CLI}" serve --store "${STORE}" --domain 2,4 --workload fig1 \
+  > "${WORK}/serve_huge.out" 2> "${WORK}/serve_huge.err" || rc=$?
+[ "${rc}" -eq 0 ] || fail "serve must survive an oversized literal, exited ${rc}"
+head -n 1 "${WORK}/serve_huge.out" | grep -q "^error: predicate parse error" \
+  || fail "oversized literal was not reported as a parse error"
+[ "$(sed -n 2p "${WORK}/serve_huge.out")" = "$(head -n 1 "${WORK}/serve.out")" ] \
+  || fail "serve did not answer '*' after the bad line"
+
 echo "== ledger lock contention exits 4 =="
 # A background `ledger hold` owns the dataset's exclusive lock; a release
 # (and a ledger show, whose shared lock also waits out an exclusive holder)

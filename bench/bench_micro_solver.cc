@@ -64,25 +64,6 @@ void BM_EigenDesignMarginals(benchmark::State& state) {
 }
 BENCHMARK(BM_EigenDesignMarginals)->Unit(benchmark::kMillisecond);
 
-void BM_BarrierReference(benchmark::State& state) {
-  const std::size_t nv = state.range(0);
-  Rng rng(nv);
-  optimize::WeightingProblem p;
-  p.exponent = 1;
-  p.c.resize(nv);
-  for (auto& v : p.c) v = 0.5 + rng.UniformDouble();
-  p.constraints = linalg::Matrix(2 * nv, nv);
-  for (std::size_t j = 0; j < 2 * nv; ++j) {
-    for (std::size_t i = 0; i < nv; ++i) {
-      p.constraints(j, i) = rng.UniformDouble();
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimize::SolveWeightingBarrier(p).ValueOrDie());
-  }
-}
-BENCHMARK(BM_BarrierReference)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace dpmm
 

@@ -9,10 +9,6 @@ DataVector::DataVector(Domain d, linalg::Vector c)
 
 double DataVector::Total() const { return linalg::SumVec(counts); }
 
-double DataVector::At(const std::vector<std::size_t>& multi) const {
-  return counts[domain.CellIndex(multi)];
-}
-
 linalg::Vector DataVector::Marginal(std::size_t attr) const {
   linalg::Vector out(domain.size(attr), 0.0);
   for (std::size_t cell = 0; cell < counts.size(); ++cell) {

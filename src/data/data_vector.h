@@ -22,9 +22,6 @@ struct DataVector {
   /// Total number of tuples.
   double Total() const;
 
-  /// The count of one cell by multi-index.
-  double At(const std::vector<std::size_t>& multi) const;
-
   /// Marginal totals over one attribute (for generator sanity checks).
   linalg::Vector Marginal(std::size_t attr) const;
 };

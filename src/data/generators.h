@@ -23,14 +23,6 @@ DataVector GenCensusLike(std::uint64_t seed = 2012);
 /// income), ~33K tuples. Deterministic for a fixed seed.
 DataVector GenAdultLike(std::uint64_t seed = 2012);
 
-/// Uniform counts (total spread evenly).
-DataVector GenUniform(const Domain& domain, double total);
-
-/// Zipf-distributed counts over cells (rank r gets weight 1/r^alpha),
-/// shuffled across cells with the given seed.
-DataVector GenZipf(const Domain& domain, double total, double alpha,
-                   std::uint64_t seed);
-
 }  // namespace data
 }  // namespace dpmm
 

@@ -15,16 +15,6 @@ CellLabels::CellLabels(const Domain& domain,
   }
 }
 
-CellLabels CellLabels::Default(const Domain& domain) {
-  std::vector<std::vector<std::string>> labels(domain.num_attributes());
-  for (std::size_t a = 0; a < domain.num_attributes(); ++a) {
-    for (std::size_t b = 0; b < domain.size(a); ++b) {
-      labels[a].push_back(domain.attribute_name(a) + "=" + std::to_string(b));
-    }
-  }
-  return CellLabels(domain, std::move(labels));
-}
-
 std::string CellLabels::Condition(std::size_t cell) const {
   const auto multi = domain_.MultiIndex(cell);
   std::ostringstream oss;
@@ -33,15 +23,6 @@ std::string CellLabels::Condition(std::size_t cell) const {
     oss << bucket_labels_[a][multi[a]];
   }
   return oss.str();
-}
-
-std::vector<std::string> CellLabels::AllConditions() const {
-  std::vector<std::string> out;
-  out.reserve(domain_.NumCells());
-  for (std::size_t i = 0; i < domain_.NumCells(); ++i) {
-    out.push_back(Condition(i));
-  }
-  return out;
 }
 
 }  // namespace dpmm

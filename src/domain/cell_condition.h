@@ -21,14 +21,8 @@ class CellLabels {
   CellLabels(const Domain& domain,
              std::vector<std::vector<std::string>> bucket_labels);
 
-  /// Default labels "A1=0", "A1=1", ...
-  static CellLabels Default(const Domain& domain);
-
   /// Renders phi_i, e.g. "gpa in [3.0,3.5) AND gender = M".
   std::string Condition(std::size_t cell) const;
-
-  /// Renders every cell condition in order (Fig. 1(a)).
-  std::vector<std::string> AllConditions() const;
 
   const Domain& domain() const { return domain_; }
 

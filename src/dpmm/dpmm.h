@@ -52,12 +52,10 @@
 #include "linalg/kronecker.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
-#include "linalg/qr.h"
 #include "linalg/svd.h"
 #include "mechanism/bounds.h"
 #include "mechanism/error.h"
 #include "mechanism/matrix_mechanism.h"
-#include "mechanism/noise.h"
 #include "mechanism/privacy.h"
 #include "optimize/dual_solver.h"
 #include "optimize/eigen_design.h"
@@ -65,7 +63,6 @@
 #include "optimize/l1_design.h"
 #include "optimize/lbfgs.h"
 #include "optimize/principal_vectors.h"
-#include "optimize/reference_solver.h"
 #include "optimize/weighting_problem.h"
 #include "query/predicate.h"
 #include "query/workload_builder.h"

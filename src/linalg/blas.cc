@@ -42,30 +42,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix MatMulTN(const Matrix& a, const Matrix& b) {
-  DPMM_DCHECK_EQ(a.rows(), b.rows());
-  const std::size_t m = a.cols();
-  const std::size_t n = b.cols();
-  const std::size_t kk = a.rows();
-  Matrix c(m, n);
-  // Parallelize over blocks of output rows (columns of A); each worker
-  // accumulates independent rows of C via rank-1 updates streamed from A/B.
-  const std::size_t grain = std::max<std::size_t>(1, (1u << 22) / (kk * n + 1));
-  ParallelFor(0, m, grain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double* ak = a.RowPtr(k);
-      const double* bk = b.RowPtr(k);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const double aki = ak[i];
-        if (aki == 0.0) continue;
-        double* ci = c.RowPtr(i);
-        for (std::size_t j = 0; j < n; ++j) ci[j] += aki * bk[j];
-      }
-    }
-  });
-  return c;
-}
-
 Matrix MatMulNT(const Matrix& a, const Matrix& b) {
   DPMM_DCHECK_EQ(a.cols(), b.cols());
   const std::size_t m = a.rows();
@@ -139,17 +115,6 @@ Vector MatTVec(const Matrix& a, const Vector& x) {
     for (std::size_t j = 0; j < a.cols(); ++j) y[j] += xi * ai[j];
   }
   return y;
-}
-
-double TraceOfProduct(const Matrix& a, const Matrix& b) {
-  DPMM_DCHECK_EQ(a.cols(), b.rows());
-  DPMM_DCHECK_EQ(a.rows(), b.cols());
-  double s = 0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* ai = a.RowPtr(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) s += ai[k] * b(k, i);
-  }
-  return s;
 }
 
 }  // namespace linalg

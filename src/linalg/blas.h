@@ -13,9 +13,6 @@ namespace linalg {
 /// C = A * B.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B.
-Matrix MatMulTN(const Matrix& a, const Matrix& b);
-
 /// C = A * B^T.
 Matrix MatMulNT(const Matrix& a, const Matrix& b);
 
@@ -28,9 +25,6 @@ Vector MatVec(const Matrix& a, const Vector& x);
 
 /// y = A^T x.
 Vector MatTVec(const Matrix& a, const Vector& x);
-
-/// trace(A * B) without forming the product; A is r x c, B is c x r.
-double TraceOfProduct(const Matrix& a, const Matrix& b);
 
 }  // namespace linalg
 }  // namespace dpmm

@@ -69,30 +69,5 @@ Vector Cholesky::Solve(const Vector& b) const {
   return y;
 }
 
-Matrix Cholesky::Solve(const Matrix& b) const {
-  const std::size_t n = l_.rows();
-  DPMM_DCHECK_EQ(b.rows(), n);
-  Matrix x(n, b.cols());
-  ParallelFor(0, b.cols(), 8, [&](std::size_t lo, std::size_t hi) {
-    Vector col(n);
-    for (std::size_t j = lo; j < hi; ++j) {
-      for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
-      Vector sol = Solve(col);
-      for (std::size_t i = 0; i < n; ++i) x(i, j) = sol[i];
-    }
-  });
-  return x;
-}
-
-Matrix Cholesky::Inverse() const {
-  return Solve(Matrix::Identity(l_.rows()));
-}
-
-double Cholesky::LogDet() const {
-  double s = 0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));
-  return 2.0 * s;
-}
-
 }  // namespace linalg
 }  // namespace dpmm

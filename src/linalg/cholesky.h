@@ -25,15 +25,6 @@ class Cholesky {
   /// Solves (L L^T) x = b.
   Vector Solve(const Vector& b) const;
 
-  /// Solves (L L^T) X = B column-wise; B is n x k.
-  Matrix Solve(const Matrix& b) const;
-
-  /// Inverse of the factored matrix.
-  Matrix Inverse() const;
-
-  /// log(det) of the factored matrix.
-  double LogDet() const;
-
   const Matrix& lower() const { return l_; }
 
  private:

@@ -2,8 +2,7 @@
 // which uses the eigenvectors of W^T W as its design queries (Def. 6 of the
 // paper). Implementation is the classic EISPACK pair: Householder
 // tridiagonalization (tred2) followed by implicit-shift QL iteration (tql2),
-// O(n^3) with transform accumulation. A Jacobi rotation solver is provided
-// as an independent cross-check for the test suite.
+// O(n^3) with transform accumulation.
 #ifndef DPMM_LINALG_EIGEN_SYM_H_
 #define DPMM_LINALG_EIGEN_SYM_H_
 
@@ -25,10 +24,6 @@ struct SymmetricEigenResult {
 /// tridiagonalization + QL. Fails with NotConverged only on pathological
 /// input (more than 50 QL sweeps for one eigenvalue).
 Result<SymmetricEigenResult> SymmetricEigen(const Matrix& a);
-
-/// Reference cyclic-Jacobi eigensolver; slower but independently derived,
-/// used to validate SymmetricEigen in tests.
-Result<SymmetricEigenResult> JacobiEigen(const Matrix& a, int max_sweeps = 100);
 
 /// Eigendecomposition of a Kronecker product from the decompositions of its
 /// factors: eigenvalues are products, eigenvectors are Kronecker products of

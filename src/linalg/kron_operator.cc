@@ -38,18 +38,6 @@ KronGram::KronGram(std::vector<Matrix> factors, double scale)
   dim_ = ProductDim(factors_);
 }
 
-Vector KronGram::MatVec(const Vector& x) const {
-  Vector y = KronMatVec(factors_, x);
-  if (scale_ != 1.0) ScaleVec(scale_, &y);
-  return y;
-}
-
-double KronGram::Trace() const {
-  double t = scale_;
-  for (const auto& f : factors_) t *= f.Trace();
-  return t;
-}
-
 Matrix KronGram::Dense() const {
   Matrix g = KronList(factors_);
   if (scale_ != 1.0) g.Scale(scale_);
@@ -60,21 +48,6 @@ SumKronGram::SumKronGram(std::vector<KronGram> terms)
     : terms_(std::move(terms)) {
   DPMM_DCHECK_GT(terms_.size(), 0u);
   for (const auto& t : terms_) DPMM_DCHECK_EQ(t.dim(), terms_[0].dim());
-}
-
-Vector SumKronGram::MatVec(const Vector& x) const {
-  Vector y = terms_[0].MatVec(x);
-  for (std::size_t t = 1; t < terms_.size(); ++t) {
-    Vector yt = terms_[t].MatVec(x);
-    Axpy(1.0, yt, &y);
-  }
-  return y;
-}
-
-double SumKronGram::Trace() const {
-  double t = 0;
-  for (const auto& term : terms_) t += term.Trace();
-  return t;
 }
 
 Matrix SumKronGram::Dense() const {
@@ -164,19 +137,6 @@ void KronEigenBasis::ApplyInto(const Vector& packed, std::size_t batch,
 void KronEigenBasis::ApplyTInto(const Vector& packed, std::size_t batch,
                                 Vector* out, Vector* work) const {
   KronMatVecInto(Transposed(), packed, batch, out, work);
-}
-
-double KronEigenBasis::Entry(std::size_t row, std::size_t col) const {
-  double v = 1.0;
-  // Factor k-1 varies fastest in the row-major linearization.
-  for (std::size_t i = factors_.size(); i-- > 0;) {
-    const Matrix& f = factors_[i];
-    const std::size_t d = f.rows();
-    v *= f(row % d, col % d);
-    row /= d;
-    col /= d;
-  }
-  return v;
 }
 
 Vector KronEigenBasis::Column(std::size_t col) const {

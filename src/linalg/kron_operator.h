@@ -43,12 +43,6 @@ class KronGram {
   const std::vector<Matrix>& factors() const { return factors_; }
   double scale() const { return scale_; }
 
-  /// G x without materializing G: O(n sum d_i).
-  Vector MatVec(const Vector& x) const;
-
-  /// trace(G) = scale * prod trace(G_i).
-  double Trace() const;
-
   /// Dense n x n form (tests / small domains only).
   Matrix Dense() const;
 
@@ -68,8 +62,6 @@ class SumKronGram {
   std::size_t dim() const { return terms_.empty() ? 0 : terms_[0].dim(); }
   const std::vector<KronGram>& terms() const { return terms_; }
 
-  Vector MatVec(const Vector& x) const;
-  double Trace() const;
   Matrix Dense() const;
 
  private:
@@ -114,9 +106,6 @@ class KronEigenBasis {
                  Vector* work) const;
   void ApplyTInto(const Vector& packed, std::size_t batch, Vector* out,
                   Vector* work) const;
-
-  /// Single entry Q(row, col) = prod_i Q_i(row_i, col_i): O(k).
-  double Entry(std::size_t row, std::size_t col) const;
 
   /// Materializes one basis column (length n).
   Vector Column(std::size_t col) const;

@@ -13,7 +13,6 @@ Result<Lu> Lu::Factor(const Matrix& a) {
   Matrix lu = a;
   std::vector<std::size_t> perm(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  int sign = 1;
   for (std::size_t k = 0; k < n; ++k) {
     std::size_t piv = k;
     double best = std::fabs(lu(k, k));
@@ -31,7 +30,6 @@ Result<Lu> Lu::Factor(const Matrix& a) {
     if (piv != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(lu(k, j), lu(piv, j));
       std::swap(perm[k], perm[piv]);
-      sign = -sign;
     }
     const double inv_piv = 1.0 / lu(k, k);
     for (std::size_t i = k + 1; i < n; ++i) lu(i, k) *= inv_piv;
@@ -45,7 +43,7 @@ Result<Lu> Lu::Factor(const Matrix& a) {
       }
     });
   }
-  return Lu(std::move(lu), std::move(perm), sign);
+  return Lu(std::move(lu), std::move(perm));
 }
 
 Vector Lu::Solve(const Vector& b) const {
@@ -84,14 +82,6 @@ Matrix Lu::Solve(const Matrix& b) const {
     }
   });
   return x;
-}
-
-Matrix Lu::Inverse() const { return Solve(Matrix::Identity(lu_.rows())); }
-
-double Lu::Determinant() const {
-  double d = sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= lu_(i, i);
-  return d;
 }
 
 }  // namespace linalg

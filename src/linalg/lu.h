@@ -17,16 +17,13 @@ class Lu {
 
   Vector Solve(const Vector& b) const;
   Matrix Solve(const Matrix& b) const;
-  Matrix Inverse() const;
-  double Determinant() const;
 
  private:
-  Lu(Matrix lu, std::vector<std::size_t> perm, int sign)
-      : lu_(std::move(lu)), perm_(std::move(perm)), sign_(sign) {}
+  Lu(Matrix lu, std::vector<std::size_t> perm)
+      : lu_(std::move(lu)), perm_(std::move(perm)) {}
 
   Matrix lu_;                      // packed L (unit diag) and U
   std::vector<std::size_t> perm_;  // row permutation
-  int sign_;                       // permutation parity for the determinant
 };
 
 }  // namespace linalg

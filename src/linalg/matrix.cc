@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 namespace dpmm {
 namespace linalg {
@@ -140,20 +138,6 @@ double Matrix::Trace() const {
   return s;
 }
 
-std::string Matrix::ToString(int precision) const {
-  std::ostringstream oss;
-  char buf[64];
-  for (std::size_t i = 0; i < rows_; ++i) {
-    oss << (i == 0 ? "[" : " ");
-    for (std::size_t j = 0; j < cols_; ++j) {
-      std::snprintf(buf, sizeof(buf), "% .*f", precision, (*this)(i, j));
-      oss << buf << (j + 1 < cols_ ? " " : "");
-    }
-    oss << (i + 1 < rows_ ? "\n" : "]");
-  }
-  return oss.str();
-}
-
 double Dot(const Vector& a, const Vector& b) {
   DPMM_DCHECK_EQ(a.size(), b.size());
   double s = 0;
@@ -163,12 +147,6 @@ double Dot(const Vector& a, const Vector& b) {
 
 double Norm2(const Vector& a) { return std::sqrt(Dot(a, a)); }
 
-double Norm1(const Vector& a) {
-  double s = 0;
-  for (double v : a) s += std::fabs(v);
-  return s;
-}
-
 void Axpy(double alpha, const Vector& x, Vector* y) {
   DPMM_DCHECK_EQ(x.size(), y->size());
   for (std::size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];
@@ -176,13 +154,6 @@ void Axpy(double alpha, const Vector& x, Vector* y) {
 
 void ScaleVec(double alpha, Vector* x) {
   for (auto& v : *x) v *= alpha;
-}
-
-Vector Add(const Vector& a, const Vector& b) {
-  DPMM_DCHECK_EQ(a.size(), b.size());
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
 }
 
 Vector Sub(const Vector& a, const Vector& b) {

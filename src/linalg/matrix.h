@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "util/logging.h"
@@ -85,8 +84,6 @@ class Matrix {
   /// Sum of diagonal entries; requires a square matrix.
   double Trace() const;
 
-  std::string ToString(int precision = 3) const;
-
   bool operator==(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_ &&
            data_ == other.data_;
@@ -102,11 +99,9 @@ class Matrix {
 
 double Dot(const Vector& a, const Vector& b);
 double Norm2(const Vector& a);
-double Norm1(const Vector& a);
 /// y += alpha * x
 void Axpy(double alpha, const Vector& x, Vector* y);
 void ScaleVec(double alpha, Vector* x);
-Vector Add(const Vector& a, const Vector& b);
 Vector Sub(const Vector& a, const Vector& b);
 double MaxAbs(const Vector& a);
 double SumVec(const Vector& a);

@@ -1,26 +1,12 @@
 #include "linalg/svd.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/blas.h"
 #include "linalg/eigen_sym.h"
 
 namespace dpmm {
 namespace linalg {
-
-Vector SingularValues(const Matrix& a) {
-  const bool tall = a.rows() >= a.cols();
-  Matrix g = tall ? Gram(a) : Gram(a.Transposed());
-  SymmetricEigenResult eig = SymmetricEigen(g).ValueOrDie();
-  Vector sv(eig.values.size());
-  for (std::size_t i = 0; i < sv.size(); ++i) {
-    // Eigenvalues ascend; emit descending singular values.
-    const double ev = eig.values[eig.values.size() - 1 - i];
-    sv[i] = std::sqrt(std::max(0.0, ev));
-  }
-  return sv;
-}
 
 Matrix PseudoInverse(const Matrix& a, double rel_tol) {
   // A^+ = V S^{-2} V^T A^T where A^T A = V S^2 V^T. Using the Gram side with
@@ -46,16 +32,6 @@ Matrix PseudoInverse(const Matrix& a, double rel_tol) {
   }
   Matrix gram_pinv = MatMulNT(scaled, eig.vectors);
   return MatMulNT(gram_pinv, a);
-}
-
-std::size_t NumericalRank(const Matrix& a, double rel_tol) {
-  Vector sv = SingularValues(a);
-  if (sv.empty() || sv[0] == 0.0) return 0;
-  std::size_t r = 0;
-  for (double s : sv) {
-    if (s > rel_tol * sv[0]) ++r;
-  }
-  return r;
 }
 
 }  // namespace linalg

@@ -1,4 +1,4 @@
-// Singular values and Moore-Penrose pseudo-inverse, built on the symmetric
+// Moore-Penrose pseudo-inverse, built on the symmetric
 // eigensolver (the paper's machinery only ever needs A^+ and the spectrum of
 // W^T W, so a full bidiagonal SVD is unnecessary).
 #ifndef DPMM_LINALG_SVD_H_
@@ -9,21 +9,12 @@
 namespace dpmm {
 namespace linalg {
 
-/// Singular values of A (descending), computed from the eigenvalues of the
-/// smaller of A^T A and A A^T.
-Vector SingularValues(const Matrix& a);
-
 /// Moore-Penrose pseudo-inverse. Singular values below rel_tol * max are
 /// treated as zero (the default matches the numerical noise floor of the
 /// Gram-eigendecomposition route: eigenvalue noise ~1e-15 relative implies
 /// singular-value noise ~3e-8 relative). For full-rank square matrices this
 /// equals the inverse.
 Matrix PseudoInverse(const Matrix& a, double rel_tol = 1e-7);
-
-/// Numerical rank (count of singular values above rel_tol * max). The
-/// default tolerance accounts for singular values being square roots of
-/// Gram-matrix eigenvalues, whose noise floor is ~1e-15 relative.
-std::size_t NumericalRank(const Matrix& a, double rel_tol = 1e-7);
 
 }  // namespace linalg
 }  // namespace dpmm

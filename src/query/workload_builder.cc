@@ -1,7 +1,5 @@
 #include "query/workload_builder.h"
 
-#include <algorithm>
-
 namespace dpmm {
 namespace query {
 
@@ -26,41 +24,6 @@ std::size_t WorkloadBuilder::AddDifference(const Predicate& a,
   rows_.push_back(std::move(row));
   descriptions_.push_back("count(" + a.ToString(domain_) + ") - count(" +
                           b.ToString(domain_) + ")");
-  return rows_.size() - 1;
-}
-
-void WorkloadBuilder::AddGroupBy(const AttrSet& attrs) {
-  for (std::size_t a : attrs) DPMM_CHECK_LT(a, domain_.num_attributes());
-  // One query per combination of bucket values of `attrs`.
-  std::vector<std::size_t> idx(attrs.size(), 0);
-  for (;;) {
-    std::vector<Condition> conds;
-    for (std::size_t i = 0; i < attrs.size(); ++i) {
-      Condition c;
-      c.attr = attrs[i];
-      c.op = Condition::Op::kEq;
-      c.value = idx[i];
-      conds.push_back(c);
-    }
-    AddCount(Predicate(std::move(conds)));
-    // Odometer over bucket combinations.
-    std::size_t a = attrs.size();
-    for (;;) {
-      if (a == 0) return;
-      --a;
-      if (++idx[a] < domain_.size(attrs[a])) break;
-      idx[a] = 0;
-    }
-  }
-}
-
-std::size_t WorkloadBuilder::AddWeightedCount(const Predicate& predicate,
-                                              double weight) {
-  linalg::Vector row = predicate.ToRow(domain_);
-  for (auto& v : row) v *= weight;
-  rows_.push_back(std::move(row));
-  descriptions_.push_back(std::to_string(weight) + " * count(" +
-                          predicate.ToString(domain_) + ")");
   return rows_.size() - 1;
 }
 

@@ -15,7 +15,7 @@
 namespace dpmm {
 namespace query {
 
-/// Accumulates counting queries (predicates, differences, group-bys) over a
+/// Accumulates counting queries (predicates and differences) over a
 /// fixed domain and materializes them as an ExplicitWorkload.
 class WorkloadBuilder {
  public:
@@ -29,14 +29,6 @@ class WorkloadBuilder {
 
   /// count(a) - count(b) (e.g. Fig. 1's q8, male minus female).
   std::size_t AddDifference(const Predicate& a, const Predicate& b);
-
-  /// One counting query per bucket combination of the given attributes
-  /// (SQL GROUP BY == a k-way marginal).
-  void AddGroupBy(const AttrSet& attrs);
-
-  /// Weighted query: `weight * count(predicate)` — higher weight prioritizes
-  /// this query's accuracy in the (absolute-error) design.
-  std::size_t AddWeightedCount(const Predicate& predicate, double weight);
 
   std::size_t num_queries() const { return rows_.size(); }
   const Domain& domain() const { return domain_; }

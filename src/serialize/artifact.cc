@@ -523,21 +523,5 @@ Result<StrategyArtifact> LoadStrategyArtifact(const std::string& path) {
   return decoded;
 }
 
-Status SaveReleaseArtifact(const ReleaseArtifact& artifact,
-                           const std::string& path) {
-  return WriteWholeFile(path, EncodeReleaseArtifact(artifact));
-}
-
-Result<ReleaseArtifact> LoadReleaseArtifact(const std::string& path) {
-  std::string bytes;
-  Status st = ReadWholeFile(path, &bytes);
-  if (!st.ok()) return st;
-  auto decoded = DecodeReleaseArtifact(bytes);
-  if (!decoded.ok()) {
-    return Status::IoError(path + ": " + decoded.status().message());
-  }
-  return decoded;
-}
-
 }  // namespace serialize
 }  // namespace dpmm

@@ -120,9 +120,6 @@ std::string EncodeReleaseArtifact(const ReleaseArtifact& artifact);
 [[nodiscard]] Status SaveStrategyArtifact(const StrategyArtifact& artifact,
                             const std::string& path);
 [[nodiscard]] Result<StrategyArtifact> LoadStrategyArtifact(const std::string& path);
-[[nodiscard]] Status SaveReleaseArtifact(const ReleaseArtifact& artifact,
-                           const std::string& path);
-[[nodiscard]] Result<ReleaseArtifact> LoadReleaseArtifact(const std::string& path);
 
 }  // namespace serialize
 }  // namespace dpmm

@@ -566,11 +566,6 @@ std::uint64_t ReleaseStore::cache_evictions() const {
   return cache_.evictions();
 }
 
-std::vector<std::size_t> ReleaseStore::ListDirIds(
-    const std::string& dir) const {
-  return ReleaseIdsIn(fs_, dir);
-}
-
 // ---- StatStore / CompactStore
 
 namespace {

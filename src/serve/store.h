@@ -187,7 +187,6 @@ class ReleaseStore {
 
  private:
   Status EnsureLayoutLocked() const DPMM_REQUIRES(mu_);
-  std::vector<std::size_t> ListDirIds(const std::string& dir) const;
 
   std::string root_;
   FsOps* fs_;

@@ -86,18 +86,6 @@ double Rng::Laplace(double scale) {
   return -scale * sign * std::log(1.0 - 2.0 * u);
 }
 
-std::vector<double> Rng::GaussianVector(std::size_t n, double stddev) {
-  std::vector<double> out(n);
-  for (auto& v : out) v = Gaussian(stddev);
-  return out;
-}
-
-std::vector<double> Rng::LaplaceVector(std::size_t n, double scale) {
-  std::vector<double> out(n);
-  for (auto& v : out) v = Laplace(scale);
-  return out;
-}
-
 std::vector<std::size_t> Rng::Permutation(std::size_t n) {
   std::vector<std::size_t> p(n);
   for (std::size_t i = 0; i < n; ++i) p[i] = i;

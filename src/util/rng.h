@@ -38,12 +38,6 @@ class Rng {
   /// Laplace sample with the given scale b (density (1/2b) exp(-|x|/b)).
   double Laplace(double scale);
 
-  /// Vector of independent Gaussian samples with the given scale.
-  std::vector<double> GaussianVector(std::size_t n, double stddev);
-
-  /// Vector of independent Laplace samples with the given scale.
-  std::vector<double> LaplaceVector(std::size_t n, double scale);
-
   /// Fisher-Yates shuffle of indices 0..n-1.
   std::vector<std::size_t> Permutation(std::size_t n);
 

@@ -51,15 +51,4 @@ void TablePrinter::Print() const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TablePrinter::PrintCsv() const {
-  auto print_row = [](const std::vector<std::string>& row) {
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      std::printf("%s%s", j == 0 ? "" : ",", row[j].c_str());
-    }
-    std::printf("\n");
-  };
-  print_row(header_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 }  // namespace dpmm

@@ -22,9 +22,6 @@ class TablePrinter {
   /// Renders the table (header, separator, rows) to stdout.
   void Print() const;
 
-  /// Renders as comma-separated values (machine-readable companion output).
-  void PrintCsv() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

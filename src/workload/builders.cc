@@ -25,14 +25,6 @@ Matrix AllRangeMatrix1D(std::size_t d) {
   return w;
 }
 
-Matrix PrefixMatrix1D(std::size_t d) {
-  Matrix w(d, d);
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) w(i, j) = 1.0;
-  }
-  return w;
-}
-
 Matrix TotalMatrix(std::size_t n) {
   Matrix w(1, n);
   for (std::size_t j = 0; j < n; ++j) w(0, j) = 1.0;

@@ -17,9 +17,6 @@ namespace builders {
 /// order (start ascending, then end ascending).
 linalg::Matrix AllRangeMatrix1D(std::size_t d);
 
-/// Explicit matrix of the 1D prefix (CDF) workload.
-linalg::Matrix PrefixMatrix1D(std::size_t d);
-
 /// 1 x n row of ones (the total query).
 linalg::Matrix TotalMatrix(std::size_t n);
 

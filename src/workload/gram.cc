@@ -1,7 +1,6 @@
 #include "workload/gram.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/threading.h"
 
@@ -76,18 +75,6 @@ Matrix Ones(std::size_t d) {
   Matrix g(d, d);
   for (std::size_t i = 0; i < d; ++i) {
     for (std::size_t j = 0; j < d; ++j) g(i, j) = 1.0;
-  }
-  return g;
-}
-
-Matrix AllPredicate(std::size_t d) {
-  DPMM_CHECK_GE(d, 2u);
-  DPMM_CHECK_LE(d, 40u);
-  const double diag = std::ldexp(1.0, static_cast<int>(d) - 1);   // 2^{d-1}
-  const double off = std::ldexp(1.0, static_cast<int>(d) - 2);    // 2^{d-2}
-  Matrix g(d, d);
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = 0; j < d; ++j) g(i, j) = (i == j) ? diag : off;
   }
   return g;
 }

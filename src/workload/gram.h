@@ -30,11 +30,6 @@ linalg::Matrix NormalizedPrefix1D(std::size_t d);
 /// The all-ones matrix J of size d (Gram of the single total query).
 linalg::Matrix Ones(std::size_t d);
 
-/// Gram of the workload of all 2^d predicate (0/1) queries on d cells:
-/// diagonal 2^{d-1}, off-diagonal 2^{d-2}. Requires d >= 2 and d <= 40
-/// (entries overflow double precision usefulness beyond that).
-linalg::Matrix AllPredicate(std::size_t d);
-
 /// Number of 1D ranges on d cells: d(d+1)/2.
 std::size_t NumRanges1D(std::size_t d);
 

@@ -53,11 +53,6 @@ MarginalsWorkload MarginalsWorkload::AllKWay(const Domain& domain,
                            flavor);
 }
 
-MarginalsWorkload MarginalsWorkload::AllMarginals(const Domain& domain,
-                                                  Flavor flavor) {
-  return MarginalsWorkload(domain, AllSubsets(domain.num_attributes()), flavor);
-}
-
 std::size_t MarginalsWorkload::num_queries() const {
   std::size_t m = 0;
   for (const auto& set : sets_) {

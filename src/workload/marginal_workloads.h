@@ -28,11 +28,6 @@ class MarginalsWorkload : public Workload {
   static MarginalsWorkload AllKWay(const Domain& domain, std::size_t way,
                                    Flavor flavor = Flavor::kMarginal);
 
-  /// The union of all k-way marginals for 0 <= k <= num_attributes (the full
-  /// data cube).
-  static MarginalsWorkload AllMarginals(const Domain& domain,
-                                        Flavor flavor = Flavor::kMarginal);
-
   std::size_t num_queries() const override;
   std::string Name() const override;
   linalg::Matrix Gram() const override;

@@ -7,6 +7,8 @@
 #include "data/generators.h"
 #include "data/io.h"
 
+#include "support/test_data.h"
+
 namespace dpmm {
 namespace {
 
@@ -14,7 +16,6 @@ TEST(DataVector, TotalsAndMarginals) {
   Domain d({2, 2});
   DataVector dv(d, {1, 2, 3, 4});
   EXPECT_DOUBLE_EQ(dv.Total(), 10.0);
-  EXPECT_DOUBLE_EQ(dv.At({1, 0}), 3.0);
   EXPECT_EQ(dv.Marginal(0), (linalg::Vector{3, 7}));
   EXPECT_EQ(dv.Marginal(1), (linalg::Vector{4, 6}));
 }

@@ -70,14 +70,6 @@ TEST(AttrSets, AllSubsets) {
   EXPECT_EQ(all[7], (AttrSet{0, 1, 2}));
 }
 
-TEST(CellLabels, DefaultLabels) {
-  Domain d({2, 2});
-  CellLabels labels = CellLabels::Default(d);
-  EXPECT_EQ(labels.Condition(0), "A1=0 AND A2=0");
-  EXPECT_EQ(labels.Condition(3), "A1=1 AND A2=1");
-  EXPECT_EQ(labels.AllConditions().size(), 4u);
-}
-
 TEST(CellLabels, Fig1ConditionsMatchPaper) {
   // Fig. 1(a): phi_1 = gpa in [1.0,2.0) AND gender = M ... in our encoding
   // gender varies slowest (cells 1-4 male, 5-8 female).

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "linalg/blas.h"
-#include "linalg/qr.h"
 #include "linalg/svd.h"
 #include "mechanism/bounds.h"
 #include "mechanism/error.h"
@@ -20,6 +19,8 @@
 #include "workload/builders.h"
 #include "workload/marginal_workloads.h"
 #include "workload/range_workloads.h"
+
+#include "support/linalg_oracles.h"
 
 namespace dpmm {
 namespace {

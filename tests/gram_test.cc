@@ -8,6 +8,8 @@
 #include "workload/builders.h"
 #include "workload/gram.h"
 
+#include "support/test_data.h"
+
 namespace dpmm {
 namespace {
 
@@ -53,18 +55,6 @@ TEST_P(GramSizes, NormalizedPrefix1DMatchesExplicit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, GramSizes, ::testing::Values(1, 2, 3, 5, 8, 16, 31));
-
-TEST(GramClosedForms, AllPredicateMatchesEnumeration) {
-  const std::size_t d = 10;
-  // Enumerate all 2^10 predicate queries.
-  Matrix w(1 << d, d);
-  for (std::size_t mask = 0; mask < (1u << d); ++mask) {
-    for (std::size_t j = 0; j < d; ++j) {
-      if (mask & (1u << j)) w(mask, j) = 1.0;
-    }
-  }
-  EXPECT_LT(gram::AllPredicate(d).MaxAbsDiff(Gram(w)), 1e-9);
-}
 
 TEST(GramClosedForms, OnesIsTotalQueryGram) {
   Matrix total = builders::TotalMatrix(6);

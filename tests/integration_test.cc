@@ -18,6 +18,8 @@
 #include "workload/marginal_workloads.h"
 #include "workload/range_workloads.h"
 
+#include "support/test_data.h"
+
 namespace dpmm {
 namespace {
 

@@ -9,6 +9,8 @@
 #include "linalg/eigen_sym.h"
 #include "util/rng.h"
 
+#include "support/linalg_oracles.h"
+
 namespace dpmm {
 namespace linalg {
 namespace {

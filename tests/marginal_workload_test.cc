@@ -109,14 +109,6 @@ TEST(MarginalsWorkload, TotalQueryIsZeroWayMarginal) {
   EXPECT_DOUBLE_EQ(w.Answer(x)[0], 12.0);
 }
 
-TEST(MarginalsWorkload, AllMarginalsCountsQueries) {
-  Domain d({2, 3});
-  MarginalsWorkload w = MarginalsWorkload::AllMarginals(d);
-  // {} -> 1, {0} -> 2, {1} -> 3, {0,1} -> 6.
-  EXPECT_EQ(w.num_queries(), 12u);
-  EXPECT_NEAR(w.L2Sensitivity(), 2.0, 1e-12);  // sqrt(4 marginals)
-}
-
 TEST(MarginalsWorkload, SensitivityIsSqrtNumSets) {
   Domain d({4, 4, 4});
   MarginalsWorkload w = MarginalsWorkload::AllKWay(d, 2);

@@ -10,11 +10,12 @@
 #include "mechanism/bounds.h"
 #include "mechanism/error.h"
 #include "mechanism/matrix_mechanism.h"
-#include "mechanism/noise.h"
 #include "optimize/eigen_design.h"
 #include "strategy/wavelet.h"
 #include "workload/builders.h"
 #include "workload/range_workloads.h"
+
+#include "support/test_data.h"
 
 namespace dpmm {
 namespace {
@@ -58,36 +59,6 @@ TEST(NoiseScales, GaussianFormula) {
 
 TEST(NoiseScales, LaplaceFormula) {
   EXPECT_DOUBLE_EQ(LaplaceNoiseScale(0.5, 4.0), 8.0);
-}
-
-TEST(GaussianMechanism, EmpiricalVarianceMatchesSigma) {
-  // One total query over 4 cells: sensitivity 1.
-  Matrix w = builders::TotalMatrix(4);
-  Vector x{10, 20, 30, 40};
-  PrivacyParams p{kEps, kDelta};
-  const double sigma = GaussianNoiseScale(p, 1.0);
-  Rng rng(17);
-  const int trials = 4000;
-  double se = 0;
-  for (int t = 0; t < trials; ++t) {
-    Vector ans = GaussianMechanism(w, x, p, &rng);
-    se += (ans[0] - 100.0) * (ans[0] - 100.0);
-  }
-  EXPECT_NEAR(se / trials, sigma * sigma, 0.08 * sigma * sigma);
-}
-
-TEST(LaplaceMechanism, EmpiricalVarianceMatchesScale) {
-  Matrix w = builders::TotalMatrix(4);
-  Vector x{1, 2, 3, 4};
-  Rng rng(23);
-  const double b = LaplaceNoiseScale(1.0, 1.0);
-  const int trials = 6000;
-  double se = 0;
-  for (int t = 0; t < trials; ++t) {
-    Vector ans = LaplaceMechanism(w, x, 1.0, &rng);
-    se += (ans[0] - 10.0) * (ans[0] - 10.0);
-  }
-  EXPECT_NEAR(se / trials, 2.0 * b * b, 0.15 * 2.0 * b * b);
 }
 
 TEST(PFactor, Conventions) {

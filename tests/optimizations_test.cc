@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/qr.h"
 #include "linalg/svd.h"
 #include "mechanism/bounds.h"
 #include "mechanism/error.h"
@@ -14,6 +13,8 @@
 #include "optimize/principal_vectors.h"
 #include "workload/marginal_workloads.h"
 #include "workload/range_workloads.h"
+
+#include "support/linalg_oracles.h"
 
 namespace dpmm {
 namespace {

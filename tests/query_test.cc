@@ -6,7 +6,6 @@
 #include "query/predicate.h"
 #include "query/workload_builder.h"
 #include "workload/builders.h"
-#include "workload/marginal_workloads.h"
 
 namespace dpmm {
 namespace query {
@@ -160,25 +159,6 @@ TEST(WorkloadBuilder, ReconstructsFig1Workload) {
   ExplicitWorkload w = b.Build("fig1-by-query");
   EXPECT_EQ(w.num_queries(), 8u);
   EXPECT_LT(w.matrix()->MaxAbsDiff(builders::Fig1Matrix()), 1e-12);
-}
-
-TEST(WorkloadBuilder, GroupByEqualsMarginal) {
-  Domain d({3, 4, 2});
-  WorkloadBuilder b(d);
-  b.AddGroupBy({0, 2});
-  ExplicitWorkload w = b.Build();
-  EXPECT_EQ(w.num_queries(), 6u);
-  MarginalsWorkload marginal(d, {AttrSet{0, 2}},
-                             MarginalsWorkload::Flavor::kMarginal);
-  EXPECT_LT(w.matrix()->MaxAbsDiff(marginal.Materialize()), 1e-12);
-}
-
-TEST(WorkloadBuilder, WeightedCountScalesRow) {
-  Domain d = StudentDomain();
-  WorkloadBuilder b(d);
-  b.AddWeightedCount(ParsePredicate("*", d).ValueOrDie(), 3.0);
-  ExplicitWorkload w = b.Build();
-  EXPECT_EQ((*w.matrix())(0, 0), 3.0);
 }
 
 TEST(WorkloadBuilder, DescriptionsAreReadable) {

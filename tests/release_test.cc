@@ -16,6 +16,8 @@
 #include "workload/builders.h"
 #include "workload/range_workloads.h"
 
+#include "support/test_data.h"
+
 namespace dpmm {
 namespace release {
 namespace {

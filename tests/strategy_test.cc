@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "linalg/blas.h"
-#include "linalg/qr.h"
 #include "strategy/datacube.h"
 #include "strategy/fourier.h"
 #include "strategy/hierarchical.h"
@@ -16,6 +15,8 @@
 #include "strategy/wavelet.h"
 #include "workload/builders.h"
 #include "workload/marginal_workloads.h"
+
+#include "support/linalg_oracles.h"
 
 namespace dpmm {
 namespace {

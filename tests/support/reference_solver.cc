@@ -1,4 +1,4 @@
-#include "optimize/reference_solver.h"
+#include "support/reference_solver.h"
 
 #include <algorithm>
 #include <cmath>

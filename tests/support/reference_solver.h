@@ -3,8 +3,8 @@
 // practical for small instances — it exists to validate the structured dual
 // solver in the test suite (both must agree to several digits on the same
 // instance, from independently derived algorithms).
-#ifndef DPMM_OPTIMIZE_REFERENCE_SOLVER_H_
-#define DPMM_OPTIMIZE_REFERENCE_SOLVER_H_
+#ifndef DPMM_TESTS_SUPPORT_REFERENCE_SOLVER_H_
+#define DPMM_TESTS_SUPPORT_REFERENCE_SOLVER_H_
 
 #include "optimize/weighting_problem.h"
 #include "util/status.h"
@@ -31,4 +31,4 @@ Result<BarrierSolution> SolveWeightingBarrier(const WeightingProblem& problem,
 }  // namespace optimize
 }  // namespace dpmm
 
-#endif  // DPMM_OPTIMIZE_REFERENCE_SOLVER_H_
+#endif  // DPMM_TESTS_SUPPORT_REFERENCE_SOLVER_H_

@@ -159,12 +159,6 @@ TEST(Rng, LaplaceMoments) {
   EXPECT_NEAR(sum2 / n, 2.0 * b * b, 0.25);  // Var = 2 b^2
 }
 
-TEST(Rng, VectorsHaveRequestedLength) {
-  Rng rng(6);
-  EXPECT_EQ(rng.GaussianVector(17, 1.0).size(), 17u);
-  EXPECT_EQ(rng.LaplaceVector(9, 1.0).size(), 9u);
-}
-
 TEST(Rng, PermutationIsBijection) {
   Rng rng(7);
   auto p = rng.Permutation(100);

@@ -8,12 +8,13 @@
 
 #include "linalg/eigen_sym.h"
 #include "optimize/dual_solver.h"
-#include "optimize/reference_solver.h"
 #include "optimize/weighting_problem.h"
 #include "util/rng.h"
 #include "workload/builders.h"
 #include "workload/gram.h"
 #include "workload/marginal_workloads.h"
+
+#include "support/reference_solver.h"
 
 namespace dpmm {
 namespace optimize {

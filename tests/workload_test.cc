@@ -14,6 +14,8 @@
 #include "workload/range_workloads.h"
 #include "workload/workload.h"
 
+#include "support/test_data.h"
+
 namespace dpmm {
 namespace {
 

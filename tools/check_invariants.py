@@ -53,8 +53,11 @@ compiler have no way to express:
   no-committed-build-dir
                   no root-level build tree (build/, build-*/ ...) may be
                   committed: in a git checkout every tracked path under one
-                  is flagged; without git metadata (the fixture tree) a
-                  root-level build* directory holding a CMakeCache.txt is.
+                  is flagged; in the fixture self-test (--expect, no git
+                  metadata) a root-level build* directory holding a
+                  CMakeCache.txt is. A plain scan of a tree without git
+                  metadata (a source export) has no history to judge and
+                  skips the rule.
                   Build output in history bloats every clone and leaks
                   absolute paths; .gitignore covers these directories.
   metric-name     every string literal registered through
@@ -451,6 +454,10 @@ def rule_dcheck_hot_path(root, active, suppressed):
 
 BUILD_DIR_RE = re.compile(r"^build(-|$)")
 
+# Set by --expect. The fixture tree has no git metadata, so only there does
+# the rule read the on-disk layout instead of the tracked paths.
+FIXTURE_MODE = False
+
 
 def rule_no_committed_build_dir(root, active, suppressed):
     del suppressed  # a directory cannot carry a lint:allow comment
@@ -466,10 +473,9 @@ def rule_no_committed_build_dir(root, active, suppressed):
             first = path.split("/", 1)[0]
             if BUILD_DIR_RE.match(first):
                 offenders.setdefault(first, path)
-    else:
-        # Fixture mode (no git metadata): a root-level build* directory
-        # holding a CMakeCache.txt is what a committed build tree looks
-        # like on disk.
+    elif FIXTURE_MODE:
+        # A root-level build* directory holding a CMakeCache.txt is what a
+        # committed build tree looks like on disk.
         try:
             entries = sorted(os.listdir(root))
         except OSError:
@@ -590,6 +596,8 @@ def main():
                         help="JSON file with the expected finding set "
                              "(fixture self-test mode)")
     args = parser.parse_args()
+    global FIXTURE_MODE
+    FIXTURE_MODE = args.expect is not None
 
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))

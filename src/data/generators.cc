@@ -7,9 +7,6 @@
 namespace dpmm {
 namespace data {
 
-namespace {
-
-// Normalizes weights to sum to `total` and rounds to integral counts.
 linalg::Vector ToCounts(std::vector<double> weights, double total) {
   double s = 0;
   for (double w : weights) s += w;
@@ -17,6 +14,8 @@ linalg::Vector ToCounts(std::vector<double> weights, double total) {
   for (auto& w : weights) w = std::floor(w / s * total + 0.5);
   return weights;
 }
+
+namespace {
 
 // Bell-shaped profile over d buckets centered at c (in bucket units).
 double Bell(std::size_t i, double c, double width) {

@@ -9,11 +9,16 @@
 #ifndef DPMM_DATA_GENERATORS_H_
 #define DPMM_DATA_GENERATORS_H_
 
+#include <vector>
+
 #include "data/data_vector.h"
 #include "util/rng.h"
 
 namespace dpmm {
 namespace data {
+
+/// Normalizes weights to sum to `total` and rounds to integral counts.
+linalg::Vector ToCounts(std::vector<double> weights, double total);
 
 /// Census-like population: Domain {8, 16, 16} (age x occupation x income),
 /// ~15M tuples. Deterministic for a fixed seed.

@@ -65,6 +65,9 @@ TEST_P(SolverSizes, LuSolve) {
   for (auto& v : b) v = rng.Gaussian();
   Vector x = lu.Solve(b);
   EXPECT_LT(Norm2(Sub(MatVec(a, x), b)), 1e-7 * (1 + Norm2(b)));
+  EXPECT_LT(MatMul(a, lu.Solve(Matrix::Identity(n)))
+                .MaxAbsDiff(Matrix::Identity(n)),
+            1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SolverSizes,

@@ -3,24 +3,11 @@
 #include <cmath>
 #include <vector>
 
-#include "util/logging.h"
+#include "data/generators.h"
 #include "util/rng.h"
 
 namespace dpmm {
 namespace data {
-
-namespace {
-
-// Normalizes weights to sum to `total` and rounds to integral counts.
-linalg::Vector ToCounts(std::vector<double> weights, double total) {
-  double s = 0;
-  for (double w : weights) s += w;
-  DPMM_CHECK_GT(s, 0.0);
-  for (auto& w : weights) w = std::floor(w / s * total + 0.5);
-  return weights;
-}
-
-}  // namespace
 
 DataVector GenUniform(const Domain& domain, double total) {
   linalg::Vector counts(domain.NumCells(),

@@ -11,8 +11,10 @@ PYTHON="$2"
 WORK="$(mktemp -d)"
 trap 'rm -rf "${WORK}"' EXIT
 
-cp -R "${ROOT}/src" "${ROOT}/tools" "${ROOT}/tests" "${ROOT}/bench" \
-      "${ROOT}/README.md" "${WORK}/"
+# The whole tree, as an export holds it: everything but .git and the
+# root-level build trees.
+tar -C "${ROOT}" --anchored --exclude=./.git --exclude='./build*' -cf - . |
+  tar -C "${WORK}" -xf -
 mkdir "${WORK}/build"
 echo "# This is the CMakeCache file." > "${WORK}/build/CMakeCache.txt"
 
